@@ -1,11 +1,11 @@
 #include "calib/calibrate_cli.h"
 
-#include <cstdlib>
 #include <ostream>
 
 #include "calib/fit.h"
 #include "calib/ingest.h"
 #include "calib/replay.h"
+#include "core/flags.h"
 #include "diag/artifact.h"
 #include "telemetry/exporters.h"
 #include "telemetry/trace.h"
@@ -15,6 +15,10 @@ namespace ms::calib {
 namespace {
 
 constexpr double kDefaultTolerance = 0.02;
+
+// Op durations scale by the factor into int64 nanoseconds; a 1000x
+// straggler already stretches the demo step to hours.
+constexpr flags::Interval kDemoFactorRange{0.0, 1000.0, true, false};
 
 struct Options {
   std::string trace_path;
@@ -32,57 +36,24 @@ struct Options {
   double net_eff = 0.85;
 };
 
-bool parse_args(const std::vector<std::string>& args, Options& opt,
-                std::ostream& err) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    auto num_value = [&](double& slot) {
-      const char* v = value();
-      if (v == nullptr) return false;
-      slot = std::atof(v);
-      return true;
-    };
-    if (arg == "--emit") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.emit_path = v;
-    } else if (arg == "--preset") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.preset = v;
-    } else if (arg == "--fitted-out") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.fitted_out = v;
-    } else if (arg == "--json") {
-      opt.as_json = true;
-    } else if (arg == "--no-replay") {
-      opt.no_replay = true;
-    } else if (arg == "--tolerance") {
-      if (!num_value(opt.tolerance)) return false;
-    } else if (arg == "--gemm-eff") {
-      if (!num_value(opt.gemm_eff)) return false;
-    } else if (arg == "--attn-eff") {
-      if (!num_value(opt.attn_eff)) return false;
-    } else if (arg == "--mem-eff") {
-      if (!num_value(opt.mem_eff)) return false;
-    } else if (arg == "--net-eff") {
-      if (!num_value(opt.net_eff)) return false;
-    } else if (opt.trace_path.empty() && !arg.empty() && arg[0] != '-') {
-      opt.trace_path = arg;
-    } else {
-      err << "msdiag calibrate: unknown argument \"" << arg << "\"\n";
-      return false;
-    }
-  }
-  if (opt.preset != "fixture" && opt.preset != "demo") {
-    err << "msdiag calibrate: unknown preset \"" << opt.preset
-        << "\" (expected fixture|demo)\n";
+/// Simulates one traced step of `cfg`, writes its span JSONL to `path` and
+/// prints "wrote <path> (<n> spans, step <t>"; the caller ends the line.
+bool write_traced_step(engine::JobConfig cfg, const std::string& path,
+                       const char* command, std::ostream& out,
+                       std::ostream& err) {
+  if (const std::string problem = engine::validate(cfg); !problem.empty()) {
+    err << command << ": invalid config: " << problem << "\n";
     return false;
   }
+  telemetry::Tracer tracer;
+  cfg.tracer = &tracer;
+  const engine::IterationResult result = engine::simulate_iteration(cfg);
+  if (!diag::write_text_file(path, telemetry::jsonl_spans(tracer.spans()))) {
+    err << command << ": cannot write " << path << "\n";
+    return false;
+  }
+  out << "wrote " << path << " (" << tracer.size() << " spans, step "
+      << format_duration(result.iteration_time);
   return true;
 }
 
@@ -94,23 +65,21 @@ int emit_main(const Options& opt, std::ostream& out, std::ostream& err) {
   cfg.ops.flash_attention2_efficiency = opt.attn_eff;
   cfg.cluster.gpu.hbm_bw *= opt.mem_eff;
   cfg.network_efficiency = opt.net_eff;
-  if (const std::string problem = engine::validate(cfg); !problem.empty()) {
-    err << "msdiag calibrate: invalid emit config: " << problem << "\n";
+  if (!write_traced_step(cfg, opt.emit_path, "msdiag calibrate", out, err)) {
     return 1;
   }
-  telemetry::Tracer tracer;
-  cfg.tracer = &tracer;
-  const engine::IterationResult result = engine::simulate_iteration(cfg);
-  if (!diag::write_text_file(opt.emit_path,
-                             telemetry::jsonl_spans(tracer.spans()))) {
-    err << "msdiag calibrate: cannot write " << opt.emit_path << "\n";
-    return 1;
-  }
-  out << "wrote " << opt.emit_path << " (" << tracer.size()
-      << " spans, step " << format_duration(result.iteration_time)
-      << ", gemm " << opt.gemm_eff << " attn " << opt.attn_eff << " mem "
+  out << ", gemm " << opt.gemm_eff << " attn " << opt.attn_eff << " mem "
       << opt.mem_eff << " net " << opt.net_eff << ")\n";
   return 0;
+}
+
+std::string demo_usage() {
+  return "usage: msdiag demo <out.jsonl> [--straggler RANK | --slow-link "
+         "STAGE] [--factor F]\n"
+         "  synthesizes one traced training step (pp=8 pipeline) and writes\n"
+         "  it as a trace artifact; --straggler slows one stage's compute,\n"
+         "  --slow-link one stage's outbound p2p link, by factor F (default "
+         "2.5)\n";
 }
 
 }  // namespace
@@ -156,10 +125,19 @@ std::string calibrate_usage() {
 int calibrate_main(const std::vector<std::string>& args, std::ostream& out,
                    std::ostream& err) {
   Options opt;
-  if (!parse_args(args, opt, err)) {
-    err << calibrate_usage();
-    return 1;
-  }
+  flags::Parser p("msdiag calibrate", calibrate_usage());
+  p.positional("<trace>", opt.trace_path, /*required=*/false);
+  p.text("--emit", opt.emit_path);
+  p.choice("--preset", opt.preset, {"fixture", "demo"});
+  p.text("--fitted-out", opt.fitted_out);
+  p.flag("--json", opt.as_json);
+  p.flag("--no-replay", opt.no_replay);
+  p.real("--tolerance", opt.tolerance, flags::kPositive);
+  p.real("--gemm-eff", opt.gemm_eff, flags::kFraction);
+  p.real("--attn-eff", opt.attn_eff, flags::kFraction);
+  p.real("--mem-eff", opt.mem_eff, flags::kFraction);
+  p.real("--net-eff", opt.net_eff, flags::kFraction);
+  if (!p.parse(args, err)) return 1;
   if (!opt.emit_path.empty()) return emit_main(opt, out, err);
   if (opt.trace_path.empty()) {
     err << calibrate_usage();
@@ -215,6 +193,33 @@ int calibrate_main(const std::vector<std::string>& args, std::ostream& out,
         << "\n";
     return 1;
   }
+  return 0;
+}
+
+int demo_main(const std::vector<std::string>& args, std::ostream& out,
+              std::ostream& err) {
+  engine::JobConfig cfg = demo_config();
+  std::string out_path;
+  int straggler = -1;
+  int slow_link = -1;
+  double factor = 2.5;
+  flags::Parser p("msdiag demo", demo_usage());
+  p.positional("<out.jsonl>", out_path);
+  p.integer("--straggler", straggler, 0, cfg.par.pp - 1);
+  p.integer("--slow-link", slow_link, 0, cfg.par.pp - 1);
+  p.real("--factor", factor, kDemoFactorRange);
+  if (!p.parse(args, err)) return 1;
+  const auto pp = static_cast<std::size_t>(cfg.par.pp);
+  if (straggler >= 0) {
+    cfg.stage_speed.assign(pp, 1.0);
+    cfg.stage_speed[static_cast<std::size_t>(straggler)] = factor;
+  }
+  if (slow_link >= 0) {
+    cfg.link_speed.assign(pp, 1.0);
+    cfg.link_speed[static_cast<std::size_t>(slow_link)] = factor;
+  }
+  if (!write_traced_step(cfg, out_path, "msdiag demo", out, err)) return 1;
+  out << ")\n";
   return 0;
 }
 

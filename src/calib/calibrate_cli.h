@@ -12,9 +12,11 @@
 //       simulate one step with the given "true" parameters and write the
 //       span-JSONL trace — the generator behind tests/golden/calib and the
 //       round-trip acceptance gate.
+//   msdiag demo <out.jsonl> [--straggler RANK | --slow-link STAGE] [--factor F]
+//       write a demo_config() step trace with a seeded straggler or slow link
 //
-// Like msdiag_main, the entry point takes argv-style strings and writes to
-// caller-supplied streams so tests drive it exactly like the shell does.
+// Like msdiag_main, the entry points take argv-style strings and write to
+// caller-supplied streams so tests drive them exactly like the shell does.
 #pragma once
 
 #include <iosfwd>
@@ -35,6 +37,11 @@ engine::JobConfig fixture_config();
 /// The `msdiag demo` workload (175B, tp=8 pp=8 vpp=6 dp=4): what a user
 /// calibrating a demo-generated trace should pass as --preset.
 engine::JobConfig demo_config();
+
+/// Runs one `msdiag demo` invocation. Returns a process exit code: 0 on
+/// success, 1 on usage errors or a failed write.
+int demo_main(const std::vector<std::string>& args, std::ostream& out,
+              std::ostream& err);
 
 /// Runs one calibrate invocation. Returns a process exit code: 0 on
 /// success, 1 on usage/load/fit errors or an out-of-tolerance replay.

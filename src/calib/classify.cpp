@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+
+#include "core/flags.h"
 
 namespace ms::calib {
 
@@ -23,11 +24,8 @@ bool contains(const std::string& haystack, const char* needle) {
 /// 64-bit numeric attribute (byte counts overflow SpanAttrs::num's int).
 std::int64_t attr_i64(const diag::SpanAttrs& attrs, const std::string& key,
                       std::int64_t fallback) {
-  const std::string text = attrs.text(key);
-  if (text.empty()) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : fallback;
+  std::int64_t v = 0;
+  return flags::parse_int(attrs.text(key), v) ? v : fallback;
 }
 
 /// Kineto nccl kernels publish sizes under assorted arg names; the ingest

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/flags.h"
 #include "core/json.h"
 #include "diag/artifact.h"
 
@@ -37,8 +38,10 @@ class IdMapper {
       while (end > 0 && std::isdigit(static_cast<unsigned char>(s[end - 1]))) {
         --end;
       }
-      if (end < s.size() && s.size() - end <= 9) {
-        return std::atoi(s.c_str() + end);
+      std::int64_t digits = 0;
+      if (end < s.size() && s.size() - end <= 9 &&
+          flags::parse_int(s.substr(end), digits)) {
+        return static_cast<int>(digits);
       }
       auto it = labels_.find(s);
       if (it != labels_.end()) return it->second;

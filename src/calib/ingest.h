@@ -2,7 +2,7 @@
 //
 // `msdiag calibrate` accepts two artifact families and normalizes both into
 // the repo's span model (diag::TraceSpan):
-//  * the repo's own span JSONL (telemetry::jsonl_spans / diag::trace_jsonl);
+//  * the repo's own span JSONL (telemetry::jsonl_spans);
 //  * Chrome-trace / Kineto-style JSON ("trace event format"): either a bare
 //    event array or an object with a "traceEvents" array.
 //

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <ostream>
 #include <thread>
 
+#include "core/flags.h"
 #include "core/mutex.h"
 #include "core/thread_annotations.h"
+#include "diag/artifact.h"
+#include "diag/flight_recorder.h"
+#include "telemetry/exporters.h"
 #include "telemetry/metrics.h"
 
 namespace ms::chaos {
@@ -200,23 +203,175 @@ std::string write_failure_artifact(const std::string& dir,
   char name[128];
   std::snprintf(name, sizeof name, "chaos-%s-seed%" PRIu64 ".json",
                 failure.record.scenario.c_str(), failure.seed);
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string path = dir + "/" + name;
-  std::ofstream out(path);
-  if (!out) return "";
-  out << "{\n  \"reason\": \"" << failure.reason << "\",\n";
-  out << "  \"repro\": \"" << failure.repro << "\",\n";
-  out << "  \"record\": " << to_json(failure.record) << ",\n";
-  out << "  \"minimized_record\": " << to_json(failure.minimized_record)
-      << ",\n";
-  out << "  \"minimized_schedule\": [\n";
+  std::string json = "{\n  \"reason\": \"" + failure.reason + "\",\n";
+  json += "  \"repro\": \"" + failure.repro + "\",\n";
+  json += "  \"record\": " + to_json(failure.record) + ",\n";
+  json += "  \"minimized_record\": " + to_json(failure.minimized_record) +
+          ",\n";
+  json += "  \"minimized_schedule\": [\n";
   for (std::size_t i = 0; i < failure.minimized.size(); ++i) {
-    out << "    \"" << describe(failure.minimized[i]) << "\""
-        << (i + 1 < failure.minimized.size() ? "," : "") << "\n";
+    json += "    \"" + describe(failure.minimized[i]) + "\"" +
+            (i + 1 < failure.minimized.size() ? "," : "") + "\n";
   }
-  out << "  ]\n}\n";
-  return out.good() ? path : "";
+  json += "  ]\n}\n";
+  const std::string path = dir + "/" + name;
+  return diag::write_text_file(path, json) ? path : "";
+}
+
+namespace {
+
+// The slowest scenario (pfc-storm) runs 32 seeds in 1.2 s on a 4-core host,
+// so 1,024 seeds take ~40 s; the nightly CI matrix runs 32.
+constexpr int kMaxSeeds = 1024;
+
+constexpr const char* kUsage =
+    "usage: chaos_campaign --scenario <name> [--seeds N | --seed S]\n"
+    "          [--base-seed B] [--canary] [--json]\n"
+    "          [--artifact-dir DIR] [--flight-dir DIR] [--metrics]\n"
+    "       chaos_campaign --list\n";
+
+void print_record(std::ostream& out, const OutcomeRecord& r) {
+  char line[256];
+  std::snprintf(
+      line, sizeof line,
+      "  seed=%" PRIu64 " faults=%d restarts=%d undetected=%d"
+      " eff=%.3f slowdown=%.3f steps_lost=%" PRId64
+      " digest=0x%016" PRIx64 "\n",
+      r.seed, r.faults_injected, r.restarts, r.undetected_faults,
+      r.effective_time_ratio, r.slowdown_factor, r.steps_lost,
+      r.record_digest);
+  out << line;
+}
+
+void print_minimized(std::ostream& out, const FaultSchedule& minimized) {
+  out << "  minimized to " << minimized.size() << " fault(s):\n";
+  for (const auto& fault : minimized) out << "    " << describe(fault) << "\n";
+}
+
+}  // namespace
+
+int chaos_campaign_main(const std::vector<std::string>& args,
+                        std::ostream& out, std::ostream& err) {
+  std::vector<std::string> scenario_names;
+  for (const auto& s : scenarios()) scenario_names.emplace_back(s.name);
+  std::string scenario_name;
+  std::string artifact_dir;
+  std::string flight_dir;
+  std::uint64_t base_seed = 0xC405;  // "chaos"
+  std::uint64_t single_seed = 0;
+  int n_seeds = 8;
+  bool list = false;
+  bool canary = false;
+  bool as_json = false;
+  bool dump_metrics = false;
+
+  flags::Parser p("chaos_campaign", kUsage);
+  p.flag("--list", list);
+  p.choice("--scenario", scenario_name, scenario_names);
+  p.integer("--seeds", n_seeds, 1, kMaxSeeds);
+  p.seed("--seed", single_seed);
+  p.seed("--base-seed", base_seed);
+  p.text("--artifact-dir", artifact_dir);
+  p.text("--flight-dir", flight_dir);
+  p.flag("--canary", canary);
+  p.flag("--json", as_json);
+  p.flag("--metrics", dump_metrics);
+  if (!p.parse(args, err)) return 2;
+  if (list) {
+    for (const auto& s : scenarios()) {
+      std::string name = s.name;
+      if (name.size() < 22) name.resize(22, ' ');
+      out << name << ' ' << s.summary << "\n";
+    }
+    return 0;
+  }
+  if (scenario_name.empty()) {
+    err << kUsage;
+    return 2;
+  }
+  const Scenario& scenario = *find_scenario(scenario_name);
+
+  telemetry::MetricsRegistry metrics;
+  ms::diag::FlightRecorder flight;
+  ChaosConfig cfg;
+  cfg.canary = canary;
+  cfg.metrics = &metrics;
+  if (!flight_dir.empty()) cfg.flight = &flight;
+
+  // Post-mortem dumps (frozen by the AnomalyDetector at alarm time) become
+  // msdiag-loadable JSONL artifacts; cap the count so a dense campaign
+  // doesn't flood the artifact store.
+  auto write_flight_dumps = [&] {
+    if (flight_dir.empty()) return;
+    constexpr std::size_t kMaxDumps = 16;
+    const auto dumps = flight.dumps();
+    for (std::size_t i = 0; i < dumps.size() && i < kMaxDumps; ++i) {
+      char name[48];
+      std::snprintf(name, sizeof(name), "flight-%03zu.jsonl", i);
+      const std::string path = flight_dir + "/" + name;
+      if (ms::diag::write_text_file(path,
+                                    ms::diag::flight_dump_jsonl(dumps[i]))) {
+        out << "flight dump: " << path << " (" << dumps[i].reason << ")\n";
+      } else {
+        err << "flight dump write failed: " << path << "\n";
+      }
+    }
+  };
+  auto print_metrics = [&] {
+    if (dump_metrics) out << telemetry::prometheus_text(metrics.snapshot());
+  };
+
+  // --seed S: replay exactly one seed (the repro path).
+  if (p.seen("--seed")) {
+    const auto schedule = generate_schedule(cfg, scenario, single_seed);
+    const auto record = run_schedule(cfg, scenario.name, single_seed, schedule);
+    const auto verdict = evaluate_outcome(cfg, record);
+    if (as_json) {
+      out << to_json(record) << "\n";
+    } else {
+      out << scenario.name << " seed " << single_seed << ": "
+          << (verdict.pass ? "PASS" : "FAIL") << "\n";
+      print_record(out, record);
+      if (!verdict.pass) {
+        out << "  reason: " << verdict.reason << "\n";
+        print_minimized(
+            out, shrink_schedule(cfg, scenario.name, single_seed, schedule));
+      }
+    }
+    print_metrics();
+    write_flight_dumps();
+    return verdict.pass ? 0 : 1;
+  }
+
+  const auto result = run_campaign(cfg, scenario, base_seed, n_seeds);
+  if (as_json) {
+    out << "[";
+    for (std::size_t i = 0; i < result.records.size(); ++i) {
+      out << (i ? ",\n " : "") << to_json(result.records[i]);
+    }
+    out << "]\n";
+  } else {
+    out << "scenario " << result.scenario << ": " << result.passed << "/"
+        << result.seeds << " seeds passed (base seed " << result.base_seed
+        << (canary ? ", canary ON" : "") << ")\n";
+    for (const auto& record : result.records) print_record(out, record);
+  }
+  for (const auto& failure : result.failures) {
+    out << "FAIL seed=" << failure.seed << ": " << failure.reason << "\n";
+    print_minimized(out, failure.minimized);
+    out << "  repro: " << failure.repro << "\n";
+    if (!artifact_dir.empty()) {
+      const auto path = write_failure_artifact(artifact_dir, failure);
+      if (!path.empty()) {
+        out << "  artifact: " << path << "\n";
+      } else {
+        err << "  artifact write failed under " << artifact_dir << "\n";
+      }
+    }
+  }
+  print_metrics();
+  write_flight_dumps();
+  return result.failures.empty() ? 0 : 1;
 }
 
 }  // namespace ms::chaos

@@ -1,4 +1,5 @@
-// Campaign driver: seed fan-out, oracle, shrinker, repro artifacts.
+// Campaign driver: seed fan-out, oracle, shrinker, repro artifacts, and
+// the chaos_campaign command line that runs them.
 //
 // A campaign runs one scenario across N derived seeds and judges every
 // outcome with the resilience oracle. Each failing seed is shrunk by
@@ -10,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -73,5 +75,12 @@ std::string repro_command(const std::string& scenario_name, std::uint64_t seed,
 /// the path written, or "" on I/O failure.
 std::string write_failure_artifact(const std::string& dir,
                                    const CampaignFailure& failure);
+
+/// The chaos_campaign command line (argv without the program name), e.g.
+/// `--scenario mixed --seeds 32` or `--scenario mixed --seed 1234567` to
+/// replay one seed. Returns 0 when every seed passes the oracle, 1 when
+/// one fails and 2 on usage errors.
+int chaos_campaign_main(const std::vector<std::string>& args,
+                        std::ostream& out, std::ostream& err);
 
 }  // namespace ms::chaos

@@ -76,8 +76,7 @@ struct ChaosConfig {
   /// Deliberately weakened recovery path (the seeded canary regression):
   /// heartbeat-timeout detection is disabled, so hung hosts are never
   /// found. Campaigns against the canary must fail and must shrink to the
-  /// hang fault. Wired to the MS_CHAOS_CANARY environment variable in the
-  /// CLI; tests set it directly.
+  /// hang fault. Set by chaos_campaign's --canary; tests set it directly.
   bool canary = false;
 
   /// Seed fan-out width for run_campaign. 0 = auto (hardware concurrency),

@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "check/digest.h"
+#include "core/flags.h"
 
 namespace ms::chaos {
 
@@ -218,23 +219,18 @@ bool scan_token(const std::string& text, const std::string& key,
 
 bool scan_d(const std::string& text, const std::string& key, double& v) {
   std::string token;
-  if (!scan_token(text, key, token)) return false;
-  v = std::strtod(token.c_str(), nullptr);
-  return true;
+  return scan_token(text, key, token) && flags::parse_double(token, v);
 }
 
 bool scan_i(const std::string& text, const std::string& key, std::int64_t& v) {
   std::string token;
-  if (!scan_token(text, key, token)) return false;
-  v = std::strtoll(token.c_str(), nullptr, 10);
-  return true;
+  return scan_token(text, key, token) && flags::parse_int(token, v);
 }
 
 bool scan_u(const std::string& text, const std::string& key, std::uint64_t& v) {
   std::string token;
-  if (!scan_token(text, key, token)) return false;
-  v = std::strtoull(token.c_str(), nullptr, 0);  // handles 0x... and decimal
-  return true;
+  // Base 0: digests are written as "0x..." hex.
+  return scan_token(text, key, token) && flags::parse_uint(token, v, 0);
 }
 
 bool scan_latency(const std::string& text, const std::string& key,

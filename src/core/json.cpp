@@ -51,7 +51,7 @@ class Parser {
   explicit Parser(const std::string& text) : s_(text) {}
 
   bool parse(Value& out) {
-    if (!value(out)) return false;
+    if (!value(out, 0)) return false;
     skip_ws();
     return pos_ == s_.size();
   }
@@ -164,10 +164,12 @@ class Parser {
     out.number = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
     return true;
   }
-  bool value(Value& out) {
+  /// `depth` counts the arrays/objects enclosing this value.
+  bool value(Value& out, int depth) {
     skip_ws();
     if (pos_ >= s_.size()) return false;
     const char c = s_[pos_];
+    if ((c == '[' || c == '{') && depth == kMaxDepth) return false;
     if (c == 'n') return literal("null", out, Value::Kind::kNull, false);
     if (c == 't') return literal("true", out, Value::Kind::kBool, true);
     if (c == 'f') return literal("false", out, Value::Kind::kBool, false);
@@ -186,7 +188,7 @@ class Parser {
       }
       while (true) {
         Value element;
-        if (!value(element)) return false;
+        if (!value(element, depth + 1)) return false;
         out.array->push_back(std::move(element));
         skip_ws();
         if (pos_ >= s_.size()) return false;
@@ -218,7 +220,7 @@ class Parser {
         if (pos_ >= s_.size() || s_[pos_] != ':') return false;
         ++pos_;
         Value element;
-        if (!value(element)) return false;
+        if (!value(element, depth + 1)) return false;
         (*out.object)[key] = std::move(element);
         skip_ws();
         if (pos_ >= s_.size()) return false;

@@ -51,8 +51,14 @@ struct Value {
                    const std::string& fallback = "") const;
 };
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so unbounded input would overflow the stack; the deepest
+/// artifact the repo reads (a Kineto trace) nests 4 levels.
+inline constexpr int kMaxDepth = 512;
+
 /// Parses one JSON value. Returns false (and leaves `out` untouched) on
-/// malformed input instead of throwing — artifact loaders report the line.
+/// malformed input, including nesting deeper than kMaxDepth, instead of
+/// throwing — artifact loaders report the line.
 bool parse(const std::string& text, Value& out);
 
 }  // namespace ms::json

@@ -29,20 +29,6 @@ bool read_text_file(const std::string& path, std::string& out) {
   return true;
 }
 
-std::string trace_jsonl(const std::vector<TraceSpan>& spans) {
-  std::ostringstream out;
-  for (const auto& s : spans) {
-    out << "{\"type\":\"span\",\"rank\":" << s.rank << ",\"name\":\""
-        << json::escape(s.name) << "\",\"tag\":\"" << json::escape(s.tag)
-        << "\",\"start_ns\":" << s.start << ",\"end_ns\":" << s.end;
-    if (!s.detail.empty()) {
-      out << ",\"detail\":\"" << json::escape(s.detail) << '"';
-    }
-    out << "}\n";
-  }
-  return out.str();
-}
-
 bool parse_trace_jsonl(const std::string& text, std::vector<TraceSpan>& out) {
   std::vector<TraceSpan> spans;
   std::istringstream in(text);

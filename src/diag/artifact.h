@@ -21,11 +21,6 @@ bool write_text_file(const std::string& path, const std::string& content);
 /// Reads the whole file. Returns false when unreadable.
 bool read_text_file(const std::string& path, std::string& out);
 
-/// One span per line, schema-compatible with telemetry::jsonl_spans
-/// (`{"type":"span","rank":..,"name":..,"tag":..,"start_ns":..,"end_ns":..,
-/// "detail":..}`).
-std::string trace_jsonl(const std::vector<TraceSpan>& spans);
-
 /// Parses a span JSONL artifact. Lines of other types (metrics mixed into
 /// the same export) are skipped; malformed JSON fails the load.
 bool parse_trace_jsonl(const std::string& text, std::vector<TraceSpan>& out);

@@ -1,9 +1,9 @@
 #include "diag/msdiag.h"
 
-#include <cstdlib>
 #include <map>
 #include <ostream>
 
+#include "core/flags.h"
 #include "core/table.h"
 #include "core/time.h"
 #include "diag/artifact.h"
@@ -38,23 +38,11 @@ int cmd_analyze(const std::vector<std::string>& args, std::ostream& out,
   std::string path;
   bool as_json = false;
   std::size_t top_k = 5;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--json") {
-      as_json = true;
-    } else if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = static_cast<std::size_t>(std::strtoul(args[++i].c_str(),
-                                                    nullptr, 10));
-    } else if (path.empty()) {
-      path = args[i];
-    } else {
-      err << msdiag_usage();
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    err << msdiag_usage();
-    return 1;
-  }
+  flags::Parser p("msdiag analyze", msdiag_usage());
+  p.positional("<trace.jsonl>", path);
+  p.flag("--json", as_json);
+  p.integer("--top", top_k, 0);
+  if (!p.parse(args, err)) return 1;
   std::vector<TraceSpan> spans;
   if (!load_spans(path, spans, err)) return 1;
   const StepDiagnosis d = analyze_spans(std::move(spans));
@@ -64,13 +52,14 @@ int cmd_analyze(const std::vector<std::string>& args, std::ostream& out,
 
 int cmd_diff(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
-  if (args.size() != 2) {
-    err << msdiag_usage();
-    return 1;
-  }
+  std::string base, cand;
+  flags::Parser p("msdiag diff", msdiag_usage());
+  p.positional("<base.jsonl>", base);
+  p.positional("<cand.jsonl>", cand);
+  if (!p.parse(args, err)) return 1;
   std::vector<TraceSpan> base_spans, cand_spans;
-  if (!load_spans(args[0], base_spans, err)) return 1;
-  if (!load_spans(args[1], cand_spans, err)) return 1;
+  if (!load_spans(base, base_spans, err)) return 1;
+  if (!load_spans(cand, cand_spans, err)) return 1;
   out << diff_report(analyze_spans(std::move(base_spans)),
                      analyze_spans(std::move(cand_spans)));
   return 0;
@@ -79,20 +68,10 @@ int cmd_diff(const std::vector<std::string>& args, std::ostream& out,
 int cmd_flight(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
   std::string path, perfetto;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--perfetto" && i + 1 < args.size()) {
-      perfetto = args[++i];
-    } else if (path.empty()) {
-      path = args[i];
-    } else {
-      err << msdiag_usage();
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    err << msdiag_usage();
-    return 1;
-  }
+  flags::Parser p("msdiag flight", msdiag_usage());
+  p.positional("<dump.jsonl>", path);
+  p.text("--perfetto", perfetto);
+  if (!p.parse(args, err)) return 1;
   std::string text;
   if (!read_text_file(path, text)) {
     err << "msdiag: cannot read " << path << '\n';
@@ -142,12 +121,13 @@ int cmd_flight(const std::vector<std::string>& args, std::ostream& out,
 
 int cmd_export(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
-  if (args.size() != 2) {
-    err << msdiag_usage();
-    return 1;
-  }
+  std::string trace_path, out_path;
+  flags::Parser p("msdiag export", msdiag_usage());
+  p.positional("<trace.jsonl>", trace_path);
+  p.positional("<out.json>", out_path);
+  if (!p.parse(args, err)) return 1;
   std::vector<TraceSpan> spans;
-  if (!load_spans(args[0], spans, err)) return 1;
+  if (!load_spans(trace_path, spans, err)) return 1;
   const DepGraph graph = DepGraph::build(spans);
   const StepDiagnosis d = analyze(graph);
   // Mark critical-path spans so the viewer can highlight them.
@@ -164,11 +144,11 @@ int cmd_export(const std::vector<std::string>& args, std::ostream& out,
     }
     trace.add(std::move(s));
   }
-  if (!write_text_file(args[1], trace.chrome_trace_json())) {
-    err << "msdiag: cannot write " << args[1] << '\n';
+  if (!write_text_file(out_path, trace.chrome_trace_json())) {
+    err << "msdiag: cannot write " << out_path << '\n';
     return 1;
   }
-  out << "wrote annotated Perfetto trace: " << args[1] << " ("
+  out << "wrote annotated Perfetto trace: " << out_path << " ("
       << spans.size() << " spans, " << d.path.size()
       << " critical-path segments)\n";
   return 0;

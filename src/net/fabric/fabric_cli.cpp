@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "core/flags.h"
 #include "core/rng.h"
+#include "diag/artifact.h"
 #include "diag/timeline.h"
 #include "net/ccsim_multi.h"
 #include "net/ecmp.h"
@@ -20,6 +20,10 @@
 namespace ms::net::fabric {
 
 namespace {
+
+// The storm replay spans ~30 ms and a rehash round one bucket, so a
+// cadence past 1 s adds nothing; the cap keeps the us -> ns cast in range.
+constexpr flags::Interval kCadenceUs{0.0, 1'000'000.0, true, false};
 
 struct FabricCliOptions {
   std::string command;
@@ -143,12 +147,10 @@ int cmd_timeline(const FabricCliOptions& opt, const FabricObservatory& obs,
                  std::ostream& err) {
   const auto trace = build_timeline(obs, report, opt.top);
   if (!opt.out_path.empty()) {
-    std::ofstream file(opt.out_path);
-    if (!file) {
+    if (!diag::write_text_file(opt.out_path, trace.chrome_trace_json())) {
       err << "msdiag fabric: cannot write " << opt.out_path << "\n";
       return 1;
     }
-    file << trace.chrome_trace_json();
     out << "wrote " << opt.out_path << " (" << trace.size()
         << " spans, one lane per hot link)\n";
     return 0;
@@ -203,12 +205,10 @@ int cmd_export(const FabricCliOptions& opt, const FabricObservatory& obs,
     out << artifact;
     return 0;
   }
-  std::ofstream file(opt.out_path);
-  if (!file) {
+  if (!diag::write_text_file(opt.out_path, artifact)) {
     err << "msdiag fabric: cannot write " << opt.out_path << "\n";
     return 1;
   }
-  file << artifact;
   out << "wrote " << opt.out_path << "\n";
   return 0;
 }
@@ -228,48 +228,19 @@ std::string fabric_usage() {
 int fabric_main(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
   FabricCliOptions opt;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    if (arg == "--scenario") {
-      const char* v = value();
-      if (!v) break;
-      opt.scenario = v;
-    } else if (arg == "--intensity") {
-      const char* v = value();
-      if (!v) break;
-      opt.intensity = std::atof(v);
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (!v) break;
-      opt.seed = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (!v) break;
-      opt.out_path = v;
-    } else if (arg == "--cadence-us") {
-      const char* v = value();
-      if (!v) break;
-      opt.cadence = microseconds(std::atof(v));
-    } else if (arg == "--top") {
-      const char* v = value();
-      if (!v) break;
-      opt.top = std::atoi(v);
-    } else if (opt.command.empty() && !arg.empty() && arg[0] != '-') {
-      opt.command = arg;
-    } else {
-      err << fabric_usage();
-      return 1;
-    }
-  }
-  const bool known = opt.command == "top" || opt.command == "heatmap" ||
-                     opt.command == "timeline" || opt.command == "paths" ||
-                     opt.command == "export";
-  if (!known || (opt.scenario != "storm" && opt.scenario != "rehash") ||
-      opt.intensity <= 0 || opt.intensity > 1.0 || opt.cadence <= 0 ||
-      opt.top <= 0) {
+  double cadence_us = to_microseconds(opt.cadence);
+  flags::Parser p("msdiag fabric", fabric_usage());
+  p.positional("<command>", opt.command, true,
+               {"top", "heatmap", "timeline", "paths", "export"});
+  p.choice("--scenario", opt.scenario, {"storm", "rehash"});
+  p.real("--intensity", opt.intensity, flags::kFraction);
+  p.seed("--seed", opt.seed);
+  p.text("--out", opt.out_path);
+  p.real("--cadence-us", cadence_us, kCadenceUs);
+  p.integer("--top", opt.top, 1);
+  if (!p.parse(args, err)) return 1;
+  opt.cadence = microseconds(cadence_us);
+  if (opt.cadence <= 0) {  // sub-nanosecond cadences round to zero
     err << fabric_usage();
     return 1;
   }

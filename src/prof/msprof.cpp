@@ -1,18 +1,18 @@
 #include "prof/msprof.h"
 
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <ostream>
-#include <sstream>
 
 #include "bench/common.h"
+#include "core/flags.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "core/time.h"
 #include "core/wallclock.h"
+#include "diag/artifact.h"
 #include "engine/job.h"
 #include "ft/workflow.h"
 #include "net/ccsim_multi.h"
@@ -221,26 +221,15 @@ bool run_workload(const std::string& name, WorkloadResult& out) {
 
 namespace {
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
+// Each repeat reruns the workload (twice under `overhead`); the slowest,
+// fig11_production_run, takes ~4.3 s a run on a 4-core host, so 50 repeats
+// of `overhead` already run for ~7 minutes.
+constexpr int kMaxRepeat = 50;
 
 bool load_report(const std::string& path, ProfileReport& report,
                  std::ostream& err) {
   std::string text;
-  if (!read_file(path, text)) {
+  if (!diag::read_text_file(path, text)) {
     err << "msprof: cannot read " << path << "\n";
     return false;
   }
@@ -265,51 +254,23 @@ std::uint64_t events_from_scopes(const ProfileReport& report) {
   return events;
 }
 
-int run_usage(std::ostream& err) {
-  err << "usage: msprof run <workload> [--top K] [--repeat N]\n"
-         "                  [--json out.jsonl] [--trace out.json] [--prom "
-         "out.prom]\n";
-  return 1;
-}
-
 int run_main(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
   std::string workload;
   std::string json_path, trace_path, prom_path;
   std::size_t top_k = 20;
   int repeat = 1;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    if (arg == "--top") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      top_k = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--repeat") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      repeat = std::atoi(v);
-    } else if (arg == "--json") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      json_path = v;
-    } else if (arg == "--trace") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      trace_path = v;
-    } else if (arg == "--prom") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      prom_path = v;
-    } else if (workload.empty() && !arg.empty() && arg[0] != '-') {
-      workload = arg;
-    } else {
-      return run_usage(err);
-    }
-  }
-  if (workload.empty() || repeat < 1) return run_usage(err);
+  flags::Parser p("msprof run",
+                  "usage: msprof run <workload> [--top K] [--repeat N]\n"
+                  "                  [--json out.jsonl] [--trace out.json] "
+                  "[--prom out.prom]\n");
+  p.positional("<workload>", workload);
+  p.integer("--top", top_k, 0);
+  p.integer("--repeat", repeat, 1, kMaxRepeat);
+  p.text("--json", json_path);
+  p.text("--trace", trace_path);
+  p.text("--prom", prom_path);
+  if (!p.parse(args, err)) return 1;
 
   reset();
   set_enabled(true);
@@ -354,7 +315,7 @@ int run_main(const std::vector<std::string>& args, std::ostream& out,
 
   int failures = 0;
   if (!json_path.empty()) {
-    if (write_file(json_path, report.to_jsonl())) {
+    if (diag::write_text_file(json_path, report.to_jsonl())) {
       out << "wrote " << json_path << " (profile JSONL)\n";
     } else {
       err << "msprof: cannot write " << json_path << "\n";
@@ -364,7 +325,7 @@ int run_main(const std::vector<std::string>& args, std::ostream& out,
   if (!trace_path.empty()) {
     std::uint64_t dropped = 0;
     const auto events = drain_trace(&dropped);
-    if (write_file(trace_path, to_chrome_trace(events, dropped))) {
+    if (diag::write_text_file(trace_path, to_chrome_trace(events, dropped))) {
       out << "wrote " << trace_path << " (" << events.size()
           << " self-trace spans";
       if (dropped != 0) out << ", " << dropped << " dropped";
@@ -377,7 +338,8 @@ int run_main(const std::vector<std::string>& args, std::ostream& out,
   if (!prom_path.empty()) {
     telemetry::MetricsRegistry registry;
     export_profile(report, registry);
-    if (write_file(prom_path, telemetry::prometheus_text(registry.snapshot()))) {
+    if (diag::write_text_file(
+            prom_path, telemetry::prometheus_text(registry.snapshot()))) {
       out << "wrote " << prom_path << " (Prometheus exposition)\n";
     } else {
       err << "msprof: cannot write " << prom_path << "\n";
@@ -391,20 +353,11 @@ int report_main(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
   std::string path;
   std::size_t top_k = 20;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = static_cast<std::size_t>(std::atoi(args[++i].c_str()));
-    } else if (path.empty()) {
-      path = args[i];
-    } else {
-      err << "usage: msprof report <profile.jsonl> [--top K]\n";
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    err << "usage: msprof report <profile.jsonl> [--top K]\n";
-    return 1;
-  }
+  flags::Parser p("msprof report",
+                  "usage: msprof report <profile.jsonl> [--top K]\n");
+  p.positional("<profile.jsonl>", path);
+  p.integer("--top", top_k, 0);
+  if (!p.parse(args, err)) return 1;
   ProfileReport report;
   if (!load_report(path, report, err)) return 1;
   out << report.render(top_k);
@@ -413,22 +366,17 @@ int report_main(const std::vector<std::string>& args, std::ostream& out,
 
 int diff_main(const std::vector<std::string>& args, std::ostream& out,
               std::ostream& err) {
-  std::vector<std::string> paths;
+  std::string base_path, cand_path;
   std::size_t top_k = 20;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = static_cast<std::size_t>(std::atoi(args[++i].c_str()));
-    } else {
-      paths.push_back(args[i]);
-    }
-  }
-  if (paths.size() != 2) {
-    err << "usage: msprof diff <base.jsonl> <cand.jsonl> [--top K]\n";
-    return 1;
-  }
+  flags::Parser p("msprof diff",
+                  "usage: msprof diff <base.jsonl> <cand.jsonl> [--top K]\n");
+  p.positional("<base.jsonl>", base_path);
+  p.positional("<cand.jsonl>", cand_path);
+  p.integer("--top", top_k, 0);
+  if (!p.parse(args, err)) return 1;
   ProfileReport base, cand;
-  if (!load_report(paths[0], base, err)) return 1;
-  if (!load_report(paths[1], cand, err)) return 1;
+  if (!load_report(base_path, base, err)) return 1;
+  if (!load_report(cand_path, cand, err)) return 1;
   out << render_diff(base, cand, top_k);
   return 0;
 }
@@ -438,30 +386,13 @@ int overhead_main(const std::vector<std::string>& args, std::ostream& out,
   std::string workload = "fig11_production_run";
   int repeat = 3;
   double budget = 0.03;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    if (arg == "--workload") {
-      const char* v = value();
-      if (!v) return 1;
-      workload = v;
-    } else if (arg == "--repeat") {
-      const char* v = value();
-      if (!v) return 1;
-      repeat = std::atoi(v);
-    } else if (arg == "--budget") {
-      const char* v = value();
-      if (!v) return 1;
-      budget = std::atof(v);
-    } else {
-      err << "usage: msprof overhead [--workload W] [--repeat N] [--budget "
-             "F]\n";
-      return 1;
-    }
-  }
-  if (repeat < 1) repeat = 1;
+  flags::Parser p(
+      "msprof overhead",
+      "usage: msprof overhead [--workload W] [--repeat N] [--budget F]\n");
+  p.text("--workload", workload);
+  p.integer("--repeat", repeat, 1, kMaxRepeat);
+  p.real("--budget", budget, flags::kNonNegative);
+  if (!p.parse(args, err)) return 1;
 
   WorkloadResult result;
   if (!run_workload(workload, result)) {  // also serves as the warm-up run
@@ -556,6 +487,9 @@ int msprof_main(const std::vector<std::string>& args, std::ostream& out,
   if (cmd == "diff") return diff_main(rest, out, err);
   if (cmd == "overhead") return overhead_main(rest, out, err);
   if (cmd == "list") {
+    if (!flags::Parser("msprof list", msprof_usage()).parse(rest, err)) {
+      return 1;
+    }
     for (const std::string& n : workload_names()) out << n << "\n";
     return 0;
   }

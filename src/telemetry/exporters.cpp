@@ -77,14 +77,12 @@ void json_labels(std::ostringstream& out, const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out << ',';
     first = false;
-    out << '"' << json_escape(k) << "\":\"" << json_escape(v) << '"';
+    out << '"' << json::escape(k) << "\":\"" << json::escape(v) << '"';
   }
   out << '}';
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) { return ms::json::escape(s); }
 
 std::string prometheus_text(const MetricsSnapshot& snapshot) {
   std::ostringstream out;
@@ -136,7 +134,7 @@ std::string jsonl_metrics(const MetricsSnapshot& snapshot) {
   std::ostringstream out;
   for (const auto& s : snapshot.samples) {
     out << "{\"type\":\"" << kind_name(s.kind) << "\",\"name\":\""
-        << json_escape(s.name) << "\",\"labels\":";
+        << json::escape(s.name) << "\",\"labels\":";
     json_labels(out, s.labels);
     if (s.kind == MetricKind::kHistogram) {
       out << ",\"count\":" << s.hist.total() << ",\"sum\":"
@@ -156,10 +154,10 @@ std::string jsonl_spans(const std::vector<diag::TraceSpan>& spans) {
   std::ostringstream out;
   for (const auto& s : spans) {
     out << "{\"type\":\"span\",\"rank\":" << s.rank << ",\"name\":\""
-        << json_escape(s.name) << "\",\"tag\":\"" << json_escape(s.tag)
+        << json::escape(s.name) << "\",\"tag\":\"" << json::escape(s.tag)
         << "\",\"start_ns\":" << s.start << ",\"end_ns\":" << s.end;
     if (!s.detail.empty()) {
-      out << ",\"detail\":\"" << json_escape(s.detail) << '"';
+      out << ",\"detail\":\"" << json::escape(s.detail) << '"';
     }
     out << "}\n";
   }

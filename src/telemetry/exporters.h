@@ -35,7 +35,4 @@ std::string jsonl_spans(const std::vector<diag::TraceSpan>& spans);
 /// Chrome "trace event format" via diag::TimelineTrace::chrome_trace_json.
 std::string chrome_trace(const Tracer& tracer);
 
-/// JSON string escaping (exposed for tests and other emitters).
-std::string json_escape(const std::string& s);
-
 }  // namespace ms::telemetry

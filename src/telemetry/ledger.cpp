@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "check/digest.h"
+#include "core/flags.h"
 #include "core/json.h"
 #include "core/stats.h"
 #include "core/table.h"
@@ -387,8 +388,9 @@ bool parse_ledger_jsonl(const std::string& text, LedgerSeries& out) {
       if (!v.has("lost_ns") || !parse_lost(v.at("lost_ns"), series.totals.lost)) {
         return false;
       }
-      const std::string digest = v.text("digest");
-      series.digest = std::strtoull(digest.c_str(), nullptr, 16);
+      if (!flags::parse_uint(v.text("digest"), series.digest, 16)) {
+        return false;
+      }
     } else {
       return false;  // unknown record type
     }
@@ -561,39 +563,25 @@ bool load_ledger(const std::string& path, LedgerSeries& series,
 
 int ledger_main(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
-  if (!args.empty() && args[0] == "--diff") {
-    if (args.size() != 3) {
-      err << "usage:\n" << ledger_usage();
-      return 1;
-    }
+  std::string path, base_path;
+  bool as_json = false;
+  bool no_chart = false;
+  flags::Parser p("msdiag ledger", "usage:\n" + ledger_usage());
+  p.positional("<run.jsonl>", path);
+  p.text("--diff", base_path);  // the base run; <run.jsonl> is the candidate
+  p.flag("--json", as_json);
+  p.flag("--no-chart", no_chart);
+  if (!p.parse(args, err)) return 1;
+  if (p.seen("--diff")) {
     LedgerSeries base, cand;
-    if (!load_ledger(args[1], base, err)) return 1;
-    if (!load_ledger(args[2], cand, err)) return 1;
+    if (!load_ledger(base_path, base, err)) return 1;
+    if (!load_ledger(path, cand, err)) return 1;
     out << ledger_diff(base, cand);
     return 0;
   }
-  std::string path;
-  bool as_json = false;
-  bool chart = true;
-  for (const auto& arg : args) {
-    if (arg == "--json") {
-      as_json = true;
-    } else if (arg == "--no-chart") {
-      chart = false;
-    } else if (path.empty() && !arg.empty() && arg[0] != '-') {
-      path = arg;
-    } else {
-      err << "usage:\n" << ledger_usage();
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    err << "usage:\n" << ledger_usage();
-    return 1;
-  }
   LedgerSeries series;
   if (!load_ledger(path, series, err)) return 1;
-  out << (as_json ? to_jsonl(series) : render(series, chart));
+  out << (as_json ? to_jsonl(series) : render(series, !no_chart));
   return 0;
 }
 

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "calib/calibrate_cli.h"
@@ -707,6 +708,46 @@ TEST(CalibrateCli, BadInvocationsExitNonZero) {
   EXPECT_EQ(calib::calibrate_main({temp_path("missing_trace.jsonl")}, out,
                                   err),
             1);
+  // Malformed values fail before anything is simulated or written, naming
+  // position and flag (NaN used to be simulated, `x` read as 0).
+  const std::string trace = temp_path("calib_cli_never_written.jsonl");
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--emit", trace, "--gemm-eff", "nan"}, "argument 4 (--gemm-eff)"},
+      {{trace, "--tolerance", "x"}, "argument 3 (--tolerance)"},
+  };
+  for (const auto& [args, named] : cases) {
+    std::ostringstream bad_out, bad_err;
+    EXPECT_EQ(calib::calibrate_main(args, bad_out, bad_err), 1) << named;
+    EXPECT_NE(bad_err.str().find(named), std::string::npos) << bad_err.str();
+    EXPECT_TRUE(bad_out.str().empty()) << bad_out.str();
+  }
+  std::ostringstream demo_out, demo_err;
+  EXPECT_EQ(calib::demo_main({trace, "--straggler", "3", "--factor", "nan"},
+                             demo_out, demo_err),
+            1);
+  EXPECT_NE(demo_err.str().find("argument 5 (--factor)"), std::string::npos)
+      << demo_err.str();
+  EXPECT_TRUE(demo_out.str().empty());
+  std::string unused;
+  EXPECT_FALSE(diag::read_text_file(trace, unused));
+  // Nesting past json::kMaxDepth is a malformed trace, not a crash.
+  const std::string deep = temp_path("calib_cli_deep.json");
+  ASSERT_TRUE(diag::write_text_file(deep, std::string(1'000'000, '[')));
+  std::ostringstream deep_out, deep_err;
+  EXPECT_EQ(calib::calibrate_main({deep}, deep_out, deep_err), 1);
+  EXPECT_NE(deep_err.str().find("malformed"), std::string::npos)
+      << deep_err.str();
+}
+
+TEST(CalibrateCli, DemoWritesASeededStragglerTrace) {
+  const std::string trace = temp_path("calib_cli_demo.jsonl");
+  std::ostringstream out, err;
+  ASSERT_EQ(calib::demo_main({trace, "--straggler", "3"}, out, err), 0)
+      << err.str();
+  EXPECT_NE(out.str().find("wrote " + trace), std::string::npos);
+  std::string text;
+  ASSERT_TRUE(diag::read_text_file(trace, text));
+  EXPECT_NE(text.find("\"type\":\"span\""), std::string::npos);
 }
 
 TEST(CalibrateCli, OutOfToleranceReplayExitsOne) {

@@ -1,11 +1,15 @@
 // Full-size campaign runs (labels: chaos, slow). This is the nightly CI
 // surface: a seed-matrix campaign on the production-shaped config must pass
-// on the healthy recovery path, and the MS_CHAOS_CANARY-style weakened
-// detector must fail, shrink to a tiny schedule and emit a usable repro.
+// on the healthy recovery path, the `--canary` weakened detector must fail,
+// shrink to a tiny schedule and emit a usable repro, and the
+// chaos_campaign CLI must refuse malformed arguments instead of running.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/campaign.h"
 #include "support/json.h"
@@ -89,6 +93,32 @@ TEST(ChaosCampaign, FailingSeedArtifactsLandOnDisk) {
   OutcomeRecord record;
   ASSERT_TRUE(from_json(to_json(result.failures.front().record), record));
   EXPECT_TRUE(identical(record, result.failures.front().record));
+}
+
+TEST(ChaosCampaignCli, RunsACampaign) {
+  std::ostringstream out, err;
+  EXPECT_EQ(chaos_campaign_main({"--scenario", "clean", "--seeds", "2"}, out,
+                                err),
+            0)
+      << err.str();
+  EXPECT_NE(out.str().find("scenario clean: 2/2 seeds passed"),
+            std::string::npos)
+      << out.str();
+}
+
+TEST(ChaosCampaignCli, MalformedArgumentsExitTwoWithoutRunning) {
+  // Each of these used to run (or replay seed 0) and exit 0.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--scenario", "clean", "--seeds", "x"}, "argument 3 (--seeds)"},
+      {{"--scenario", "clean", "--seeds", "-1"}, "argument 3 (--seeds)"},
+      {{"--scenario", "clean", "--seed", "banana"}, "argument 3 (--seed)"},
+  };
+  for (const auto& [args, named] : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(chaos_campaign_main(args, out, err), 2) << named;
+    EXPECT_NE(err.str().find(named), std::string::npos) << err.str();
+    EXPECT_TRUE(out.str().empty()) << out.str();
+  }
 }
 
 }  // namespace

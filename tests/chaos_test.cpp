@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "chaos/campaign.h"
 #include "chaos/config.h"
@@ -127,6 +128,14 @@ TEST(Outcome, JsonRoundTripsBitExactly) {
   OutcomeRecord parsed;
   ASSERT_TRUE(from_json(to_json(record), parsed));
   EXPECT_TRUE(identical(record, parsed));
+  // A corrupt number fails the load instead of reading a prefix or 0.
+  for (const auto& [field, junk] :
+       {std::pair{"\"faults_injected\":", "1.5e"},
+        std::pair{"\"record_digest\":\"", "zz"}}) {
+    std::string text = to_json(record);
+    text.insert(text.find(field) + std::string(field).size(), junk);
+    EXPECT_FALSE(from_json(text, parsed)) << text;
+  }
 }
 
 TEST(Outcome, JsonIsWellFormed) {

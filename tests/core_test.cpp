@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/flags.h"
 #include "core/json.h"
 #include "core/rng.h"
 #include "core/stats.h"
@@ -405,6 +411,163 @@ TEST(Json, ParseDecodesUnicodeEscapes) {
   json::Value v;
   ASSERT_TRUE(json::parse("\"a\\u0041\\u00e9\"", v));
   EXPECT_EQ(v.str, "aA\xc3\xa9");
+}
+
+TEST(Json, ParseBoundsNestingDepth) {
+  // A million levels used to recurse until the stack overflowed.
+  constexpr std::size_t kDeep = 1'000'000;
+  json::Value v;
+  EXPECT_FALSE(json::parse(std::string(kDeep, '[') + std::string(kDeep, ']'),
+                           v));
+  std::string objects;
+  for (std::size_t i = 0; i < kDeep; ++i) objects += "{\"k\":";
+  objects += "0" + std::string(kDeep, '}');
+  EXPECT_FALSE(json::parse(objects, v));
+
+  const auto limit = static_cast<std::size_t>(json::kMaxDepth);
+  EXPECT_TRUE(json::parse(std::string(limit, '[') + std::string(limit, ']'),
+                          v));
+  EXPECT_FALSE(json::parse(
+      std::string(limit + 1, '[') + std::string(limit + 1, ']'), v));
+}
+
+// ---------------------------------------------------------------- flags
+
+/// One slot per flag kind, declared by parse_all() below.
+struct Slots {
+  bool on = false;
+  std::string text;
+  std::string choice = "a";
+  int count = 3;
+  std::uint64_t seed = 0;
+  double real = 0.5;
+  std::string pos;
+};
+
+/// Parses `args` against one flag of every kind; the command "tool sub"
+/// puts args[0] at argv position 2.
+bool parse_all(const std::vector<std::string>& args, Slots& s,
+               std::string* err = nullptr) {
+  flags::Parser p("tool sub");
+  p.flag("--on", s.on);
+  p.text("--text", s.text);
+  p.choice("--choice", s.choice, {"a", "b"});
+  p.integer("--count", s.count, 1, 1 << 20);
+  p.seed("--seed", s.seed);
+  p.real("--real", s.real, flags::kFraction, "auto");
+  p.positional("<pos>", s.pos, /*required=*/false);
+  std::ostringstream e;
+  const bool ok = p.parse(args, e);
+  if (err != nullptr) *err = e.str();
+  return ok;
+}
+
+TEST(Flags, EveryKindParses) {
+  Slots s;
+  ASSERT_TRUE(parse_all({"--on", "--text", "a b", "--choice", "b", "--count",
+                         "256", "--seed", "42", "--real", "0.25", "file"},
+                        s));
+  EXPECT_TRUE(s.on);
+  EXPECT_EQ(s.text, "a b");
+  EXPECT_EQ(s.choice, "b");
+  EXPECT_EQ(s.count, 256);
+  EXPECT_EQ(s.seed, 42u);
+  EXPECT_DOUBLE_EQ(s.real, 0.25);
+  EXPECT_EQ(s.pos, "file");
+}
+
+TEST(Flags, ValueFlagTakesTheNextTokenVerbatim) {
+  Slots s;
+  ASSERT_TRUE(parse_all({"--text", "--on"}, s));
+  EXPECT_EQ(s.text, "--on");
+  EXPECT_FALSE(s.on);
+}
+
+TEST(Flags, KeywordRestoresTheDeclaredValue) {
+  Slots s;
+  ASSERT_TRUE(parse_all({"--real", "0.9", "--real", "auto"}, s));
+  EXPECT_DOUBLE_EQ(s.real, 0.5);
+}
+
+TEST(Flags, SeedTakesHexAndDecimal) {
+  Slots s;
+  ASSERT_TRUE(parse_all({"--seed", "0xC405"}, s));
+  EXPECT_EQ(s.seed, 0xC405u);
+  ASSERT_TRUE(parse_all({"--seed", "18446744073709551615"}, s));
+  EXPECT_EQ(s.seed, UINT64_MAX);
+}
+
+TEST(Flags, MalformedArgumentsNameTheirPositionAndFlag) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--count", "99999999999"},
+       "tool sub: argument 2 (--count): got \"99999999999\", expects an "
+       "integer in [1, 1048576]\n"},
+      {{"--count", "256x"},
+       "tool sub: argument 2 (--count): got \"256x\", expects an integer "
+       "in [1, 1048576]\n"},
+      {{"--count", "0"},
+       "tool sub: argument 2 (--count): got \"0\", expects an integer in "
+       "[1, 1048576]\n"},
+      {{"--seed", "-1"},
+       "tool sub: argument 2 (--seed): got \"-1\", expects an unsigned "
+       "64-bit integer (decimal or 0x hex)\n"},
+      {{"--seed", "0x10000000000000000"},
+       "tool sub: argument 2 (--seed): got \"0x10000000000000000\", "
+       "expects an unsigned 64-bit integer (decimal or 0x hex)\n"},
+      {{"--real", "nan"},
+       "tool sub: argument 2 (--real): got \"nan\", expects a finite "
+       "number in (0, 1] or auto\n"},
+      {{"--real", "inf"},
+       "tool sub: argument 2 (--real): got \"inf\", expects a finite "
+       "number in (0, 1] or auto\n"},
+      {{"--real", "1e309"},
+       "tool sub: argument 2 (--real): got \"1e309\", expects a finite "
+       "number in (0, 1] or auto\n"},
+      {{"--real", "0"},
+       "tool sub: argument 2 (--real): got \"0\", expects a finite number "
+       "in (0, 1] or auto\n"},
+      {{"--choice", "c"},
+       "tool sub: argument 2 (--choice): got \"c\", expects one of a|b\n"},
+      {{"--on", "--count"},
+       "tool sub: argument 3 (--count): missing value, expects an integer "
+       "in [1, 1048576]\n"},
+      {{"--bogus"}, "tool sub: argument 2 (--bogus): unknown flag\n"},
+      {{"file", "extra"},
+       "tool sub: argument 3 (extra): unexpected extra argument\n"},
+  };
+  for (const auto& [args, want] : cases) {
+    Slots s;
+    std::string err;
+    EXPECT_FALSE(parse_all(args, s, &err)) << want;
+    EXPECT_EQ(err, want);
+  }
+}
+
+TEST(Flags, MissingRequiredPositionalIsAnError) {
+  std::string path;
+  flags::Parser p("tool");
+  p.positional("<path>", path);
+  std::ostringstream err;
+  EXPECT_FALSE(p.parse({}, err));
+  EXPECT_EQ(err.str(), "tool: argument 1 (<path>): missing\n");
+  EXPECT_FALSE(p.seen("<path>"));
+}
+
+TEST(Flags, StrictNumberParsers) {
+  std::int64_t i = 0;
+  EXPECT_TRUE(flags::parse_int("-42", i));
+  EXPECT_EQ(i, -42);
+  EXPECT_FALSE(flags::parse_int(" 42", i));
+  EXPECT_FALSE(flags::parse_int("", i));
+  EXPECT_FALSE(flags::parse_int("9223372036854775808", i));
+  std::uint64_t u = 0;
+  EXPECT_TRUE(flags::parse_uint("0x00000000000000ff", u, 16));
+  EXPECT_EQ(u, 0xFFu);
+  EXPECT_FALSE(flags::parse_uint("+1", u));
+  double d = 0;
+  EXPECT_TRUE(flags::parse_double("-2.5e-3", d));
+  EXPECT_DOUBLE_EQ(d, -2.5e-3);
+  EXPECT_FALSE(flags::parse_double("1.5e", d));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "diag/msdiag.h"
 #include "engine/job.h"
 #include "ft/driver_sim.h"
+#include "telemetry/exporters.h"
 #include "telemetry/trace.h"
 
 namespace {
@@ -296,7 +297,7 @@ TEST(Artifact, TraceJsonlRoundTripPreservesSpans) {
                    ""});
 
   std::vector<diag::TraceSpan> loaded;
-  ASSERT_TRUE(diag::parse_trace_jsonl(diag::trace_jsonl(spans), loaded));
+  ASSERT_TRUE(diag::parse_trace_jsonl(telemetry::jsonl_spans(spans), loaded));
   ASSERT_EQ(loaded.size(), spans.size());
   for (std::size_t i = 0; i < spans.size(); ++i) {
     EXPECT_EQ(loaded[i].rank, spans[i].rank);
@@ -334,8 +335,8 @@ TEST_F(MsdiagTest, AnalyzeReportsSeededStraggler) {
   cfg.stage_speed.assign(static_cast<std::size_t>(cfg.par.pp), 1.0);
   cfg.stage_speed[3] = 2.0;
   const std::string path = temp_path("msdiag_straggler.jsonl");
-  ASSERT_TRUE(diag::write_text_file(path,
-                                    diag::trace_jsonl(traced_spans(cfg))));
+  ASSERT_TRUE(diag::write_text_file(
+      path, telemetry::jsonl_spans(traced_spans(cfg))));
 
   ASSERT_EQ(run({"analyze", path, "--top", "3"}), 0) << err.str();
   EXPECT_NE(out.str().find("straggler-wait"), std::string::npos);
@@ -351,12 +352,12 @@ TEST_F(MsdiagTest, DiffExportAndFlightCommands) {
   const std::string base = temp_path("msdiag_base.jsonl");
   const std::string cand = temp_path("msdiag_cand.jsonl");
   auto cfg = diag_config();
-  ASSERT_TRUE(diag::write_text_file(base,
-                                    diag::trace_jsonl(traced_spans(cfg))));
+  ASSERT_TRUE(diag::write_text_file(
+      base, telemetry::jsonl_spans(traced_spans(cfg))));
   cfg.stage_speed.assign(static_cast<std::size_t>(cfg.par.pp), 1.0);
   cfg.stage_speed[3] = 2.0;
-  ASSERT_TRUE(diag::write_text_file(cand,
-                                    diag::trace_jsonl(traced_spans(cfg))));
+  ASSERT_TRUE(diag::write_text_file(
+      cand, telemetry::jsonl_spans(traced_spans(cfg))));
 
   ASSERT_EQ(run({"diff", base, cand}), 0) << err.str();
   EXPECT_NE(out.str().find("straggler-wait"), std::string::npos);
@@ -394,6 +395,17 @@ TEST_F(MsdiagTest, BadInvocationsFailWithUsage) {
   EXPECT_EQ(run({"frobnicate"}), 1);
   EXPECT_EQ(run({"analyze", temp_path("msdiag_missing.jsonl")}), 1);
   EXPECT_EQ(run({"diff", temp_path("msdiag_missing.jsonl")}), 1);
+  // A malformed count fails before the trace is even read.
+  EXPECT_EQ(run({"analyze", temp_path("msdiag_missing.jsonl"), "--top", "x"}),
+            1);
+  EXPECT_NE(err.str().find("argument 3 (--top)"), std::string::npos)
+      << err.str();
+  EXPECT_TRUE(out.str().empty());
+  // Nesting past json::kMaxDepth is a malformed artifact, not a crash.
+  const std::string deep = temp_path("msdiag_deep.jsonl");
+  ASSERT_TRUE(diag::write_text_file(deep, std::string(1'000'000, '[')));
+  EXPECT_EQ(run({"analyze", deep}), 1);
+  EXPECT_NE(err.str().find("malformed"), std::string::npos) << err.str();
 }
 
 }  // namespace

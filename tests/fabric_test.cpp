@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "diag/flight_recorder.h"
@@ -361,6 +362,19 @@ TEST(FabricCli, UnknownCommandFailsWithUsage) {
   std::ostringstream out, err;
   EXPECT_NE(fabric_main({"frobnicate"}, out, err), 0);
   EXPECT_FALSE(err.str().empty());
+  // Malformed values fail before the scenario runs, naming position and
+  // flag (a trailing value flag used to fall through to the defaults).
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"top", "--intensity", "nan"}, "argument 3 (--intensity)"},
+      {{"top", "--top", "3x"}, "argument 3 (--top)"},
+      {{"top", "--scenario"}, "argument 3 (--scenario)"},
+  };
+  for (const auto& [args, named] : cases) {
+    std::ostringstream bad_out, bad_err;
+    EXPECT_EQ(fabric_main(args, bad_out, bad_err), 1) << named;
+    EXPECT_NE(bad_err.str().find(named), std::string::npos) << bad_err.str();
+    EXPECT_TRUE(bad_out.str().empty()) << bad_out.str();
+  }
 }
 
 }  // namespace

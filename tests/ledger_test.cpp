@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -198,6 +199,10 @@ TEST(Ledger, ParseRejectsGarbage) {
   LedgerSeries out;
   EXPECT_FALSE(parse_ledger_jsonl("not json at all\n", out));
   EXPECT_FALSE(parse_ledger_jsonl("", out));
+  // A corrupt digest fails the load instead of reading as 0.
+  std::string text = to_jsonl(run_and_ingest(0x41).series);
+  text.insert(text.find("\"digest\":\"0x") + 12, "zz");
+  EXPECT_FALSE(parse_ledger_jsonl(text, out));
 }
 
 // ---------------------------------------------------------- rendering
@@ -256,6 +261,19 @@ TEST_F(LedgerCliTest, MissingFileFails) {
 TEST_F(LedgerCliTest, UsageOnNoArgs) {
   std::ostringstream out, err;
   EXPECT_NE(ledger_main({}, out, err), 0);
+  // Surplus, missing and unknown arguments name their position and fail
+  // before any ledger is rendered.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{path_, "extra"}, "argument 3 (extra)"},
+      {{"--diff", path_}, "argument 4 (<run.jsonl>)"},
+      {{path_, "--chart"}, "argument 3 (--chart)"},
+  };
+  for (const auto& [args, named] : cases) {
+    std::ostringstream bad_out, bad_err;
+    EXPECT_EQ(ledger_main(args, bad_out, bad_err), 1) << named;
+    EXPECT_NE(bad_err.str().find(named), std::string::npos) << bad_err.str();
+    EXPECT_TRUE(bad_out.str().empty()) << bad_out.str();
+  }
 }
 
 }  // namespace

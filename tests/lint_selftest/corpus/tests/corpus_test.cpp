@@ -4,5 +4,5 @@
 #include "diag/bad_digest.h"
 
 // bad_entropy and bad_wallclock are exercised elsewhere in the fixture
-// narrative, and bad_plan_report has coverage so only ordered-digest fires
-// on it.
+// narrative, and bad_plan_report and bad_number_parse have coverage so only
+// their own rules fire on them.

@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/job.h"
@@ -201,6 +202,21 @@ TEST(MsplanCli, UnknownFlagFailsWithUsage) {
   std::string err;
   EXPECT_EQ(run_cli({"--bogus"}, nullptr, &err), 1);
   EXPECT_NE(err.find("usage: msplan"), std::string::npos);
+  // Malformed numbers fail before any search, naming position and flag.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--model", "13b", "--gpus", "256", "--top-k", "x"},
+       "argument 5 (--top-k)"},
+      {{"--model", "13b", "--gpus", "256x"}, "argument 3 (--gpus)"},
+      {{"--model", "13b", "--gpus", "256", "--net-eff", "nan"},
+       "argument 5 (--net-eff)"},
+      {{"--gpus", "99999999999"}, "argument 1 (--gpus)"},
+  };
+  for (const auto& [args, named] : cases) {
+    std::string out;
+    EXPECT_EQ(run_cli(args, &out, &err), 1) << named;
+    EXPECT_NE(err.find(named), std::string::npos) << err;
+    EXPECT_EQ(out.find("space:"), std::string::npos) << out;
+  }
 }
 
 TEST(MsplanCli, RequiresGpus) {

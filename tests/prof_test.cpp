@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/wallclock.h"
@@ -516,6 +517,18 @@ TEST_F(ProfTest, CliRejectsBadInputs) {
   EXPECT_EQ(run_cli({"report", bad}, &text), 1);
   EXPECT_EQ(run_cli({"diff", bad}, &text), 1);
   EXPECT_EQ(run_cli({"overhead", "--workload", "no_such"}, &text), 1);
+  // Malformed arguments fail before any workload runs or file is read,
+  // naming position and flag (`--budget x` used to read as budget 0).
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"overhead", "--budget", "x"}, "argument 2 (--budget)"},
+      {{"report", "--top"}, "argument 2 (--top)"},
+  };
+  for (const auto& [args, named] : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(msprof_main(args, out, err), 1) << named;
+    EXPECT_NE(err.str().find(named), std::string::npos) << err.str();
+    EXPECT_TRUE(out.str().empty()) << out.str();
+  }
 }
 
 }  // namespace

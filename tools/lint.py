@@ -49,6 +49,14 @@ mutex-annotated Raw std::mutex/std::condition_variable/lock_guard etc. are
                cannot see through unannotated std primitives; ms::Mutex /
                MutexLock / CondVar are the annotated capabilities.
 
+unchecked-number-parse
+               atoi/atol/atof, and strto* calls whose end pointer is
+               nullptr, are banned in src/ and tools/. They read "x" as 0
+               and "256x" as 256, which is how a typo in a flag or a
+               corrupt artifact field became a silent default. Parse
+               through core/flags (flags::parse_int/parse_uint/
+               parse_double or a flags::Parser table) instead.
+
 Self-test
 ---------
     python3 tools/lint.py --root <corpus> --expect <expected.txt>
@@ -86,6 +94,9 @@ RULES = {
     "mutex-annotated":
         "no raw std::mutex/condition_variable/lock_guard outside core/mutex.h;"
         " use ms::Mutex/MutexLock/CondVar",
+    "unchecked-number-parse":
+        "no atoi/atol/atof or strto*(..., nullptr, ...) in src/ or tools/;"
+        " parse numbers through core/flags",
 }
 
 UNIT_LITERAL_RE = re.compile(r"(?<![\w.])1e\+?(?:3|6|9|12|15)\b")
@@ -101,6 +112,8 @@ AMBIENT_ENTROPY_RE = re.compile(
 RAW_MUTEX_RE = re.compile(
     r"std::(?:mutex|shared_mutex|recursive_mutex|timed_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock)\b")
+NUMBER_PARSE_RE = re.compile(
+    r"\b(?:ato(?:i|l|ll|f)|strto(?:l|ll|ul|ull|f|d|ld|imax|umax))\s*\(")
 ALLOW_RE = re.compile(r"ms-lint:\s*allow\((?P<rule>[\w-]+)\)\s*:\s*\S")
 ALLOW_FILE_RE = re.compile(r"ms-lint:\s*allow-file\((?P<rule>[\w-]+)\)\s*:\s*\S")
 BARE_WAIVER_RE = re.compile(r"ms-lint:\s*allow(?:-file)?\([\w-]+\)\s*:?\s*$")
@@ -121,6 +134,10 @@ EXEMPT = {
     # The annotated wrapper home: the std::mutex inside ms::Mutex IS the
     # wrapped capability.
     "mutex-annotated": {"src/core/mutex.h"},
+    # flags.cpp is the strict parser the rule points everyone else to.
+    # json.cpp's number_body has already matched the whole JSON number
+    # grammar before it hands the token to strtod.
+    "unchecked-number-parse": {"src/core/flags.cpp", "src/core/json.cpp"},
 }
 
 
@@ -277,6 +294,54 @@ class Linter:
                         " hash-layout-dependent — use an ordered container or"
                         " sort first")
 
+    def check_number_parse(self):
+        rule = "unchecked-number-parse"
+        files = self.src_files((".h", ".cpp"))
+        tools = self.root / "tools"
+        if tools.is_dir():  # fixture corpora may omit tools/
+            files += sorted(p for p in tools.rglob("*")
+                            if p.suffix in (".h", ".cpp"))
+        for path in files:
+            rel = path.relative_to(self.root).as_posix()
+            lines = path.read_text().splitlines()
+            if rel in EXEMPT[rule] or rule in self.file_waivers(lines):
+                continue
+            # Comments stripped; calls may span lines, so match on the
+            # joined text and map offsets back to line numbers.
+            code = "\n".join(line.split("//", 1)[0] for line in lines)
+            for m in NUMBER_PARSE_RE.finditer(code):
+                name = m.group().rstrip("( \t")
+                end_ptr = self.call_args(code, m.end())[1:2]
+                if name.startswith("strto") and \
+                        end_ptr not in (["nullptr"], ["NULL"]):
+                    continue
+                idx = code.count("\n", 0, m.start())
+                if not self.line_waived(lines, idx, rule):
+                    self.report(
+                        path, idx + 1, rule,
+                        f"`{name}` reads garbage as 0 and stops silently at"
+                        " trailing junk; use flags::parse_int/parse_uint/"
+                        "parse_double (core/flags.h)")
+
+    @staticmethod
+    def call_args(text: str, start: int) -> list[str]:
+        """Top-level comma-separated arguments of the call whose '(' ends
+        just before `start`, stripped."""
+        args, depth, begin = [], 0, start
+        for i in range(start, len(text)):
+            c = text[i]
+            if c in "([{":
+                depth += 1
+            elif c in ")]}":
+                if depth == 0:
+                    args.append(text[begin:i].strip())
+                    return args
+                depth -= 1
+            elif c == "," and depth == 0:
+                args.append(text[begin:i].strip())
+                begin = i + 1
+        return args
+
     def check_pragma_once(self):
         for path in self.src_files((".h",)):
             text = path.read_text()
@@ -310,6 +375,7 @@ class Linter:
     def run(self) -> int:
         self.check_line_rules()
         self.check_ordered_digest()
+        self.check_number_parse()
         self.check_pragma_once()
         self.check_test_coverage()
         for path, line_no, rule, msg in self.violations:
@@ -325,6 +391,7 @@ class Linter:
         """Self-test mode: findings must exactly match `expected_path`."""
         self.check_line_rules()
         self.check_ordered_digest()
+        self.check_number_parse()
         self.check_pragma_once()
         self.check_test_coverage()
         got = sorted(

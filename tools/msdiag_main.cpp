@@ -12,144 +12,34 @@
 //   msdiag fabric top --scenario storm --intensity 0.8
 //   msdiag fabric timeline --scenario rehash --out fabric.json
 //
-// `demo` and `ledger` are the two commands implemented here rather than in
-// src/diag: `ledger` renders telemetry::RunLedger artifacts (src/diag cannot
-// depend on the telemetry dashboard layer), and `demo` is below. `demo`
-// links the training-iteration engine (which src/diag cannot depend on) to
-// synthesize a realistic single-step trace, optionally with an injected
-// straggler stage or degraded p2p link, then writes the JSONL artifact the
-// other commands consume. That makes the full workflow reproducible from a
+// Subcommands needing layers src/diag cannot depend on are dispatched here:
+// `ledger` (telemetry::RunLedger), `demo` and `calibrate` (the training-
+// iteration engine, via src/calib) and `fabric` (the network models).
+// `demo` synthesizes one traced step, optionally with an injected straggler
+// stage or degraded p2p link, so the full workflow is reproducible from a
 // clean checkout:  msdiag demo t.jsonl --straggler 3 && msdiag analyze t.jsonl
 //
 // ms-lint: allow-file(test-coverage): thin CLI shim; all command logic is
-// in src/diag/msdiag.cpp, exercised by tests/diag_analyzer_test.cpp.
-#include <cstdlib>
+// in the src/ libraries it dispatches to, each exercised by its tests.
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "calib/calibrate_cli.h"
-#include "diag/artifact.h"
-#include "net/fabric/fabric_cli.h"
-#include "diag/blame.h"
 #include "diag/msdiag.h"
-#include "engine/job.h"
-#include "telemetry/exporters.h"
+#include "net/fabric/fabric_cli.h"
 #include "telemetry/ledger.h"
-#include "telemetry/trace.h"
-
-namespace {
-
-using namespace ms;
-
-int demo_usage(std::ostream& err) {
-  err << "usage: msdiag demo <out.jsonl> [--straggler RANK | --slow-link "
-         "STAGE] [--factor F]\n"
-         "  synthesizes one traced training step (pp=8 pipeline) and writes\n"
-         "  it as a trace artifact; --straggler slows one stage's compute,\n"
-         "  --slow-link one stage's outbound p2p link, by factor F (default "
-         "2.5)\n";
-  return 1;
-}
-
-int demo_main(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  std::string out_path;
-  int straggler = -1;
-  int slow_link = -1;
-  double factor = 2.5;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    if (arg == "--straggler") {
-      const char* v = value();
-      if (!v) return demo_usage(err);
-      straggler = std::atoi(v);
-    } else if (arg == "--slow-link") {
-      const char* v = value();
-      if (!v) return demo_usage(err);
-      slow_link = std::atoi(v);
-    } else if (arg == "--factor") {
-      const char* v = value();
-      if (!v) return demo_usage(err);
-      factor = std::atof(v);
-    } else if (out_path.empty() && !arg.empty() && arg[0] != '-') {
-      out_path = arg;
-    } else {
-      return demo_usage(err);
-    }
-  }
-  if (out_path.empty()) return demo_usage(err);
-
-  engine::JobConfig cfg;
-  cfg.model = model::config_175b();
-  cfg.par.tp = 8;
-  cfg.par.pp = 8;
-  cfg.par.vpp = 6;
-  cfg.par.dp = 4;
-  cfg.global_batch = 256;
-  cfg.ops = model::OperatorProfile::megascale();
-  cfg.overlap = engine::OverlapOptions::megascale();
-  const auto pp = static_cast<std::size_t>(cfg.par.pp);
-  if (straggler >= 0) {
-    if (straggler >= cfg.par.pp) {
-      err << "msdiag demo: --straggler rank out of range [0, " << cfg.par.pp
-          << ")\n";
-      return 1;
-    }
-    cfg.stage_speed.assign(pp, 1.0);
-    cfg.stage_speed[static_cast<std::size_t>(straggler)] = factor;
-  }
-  if (slow_link >= 0) {
-    if (slow_link >= cfg.par.pp) {
-      err << "msdiag demo: --slow-link stage out of range [0, " << cfg.par.pp
-          << ")\n";
-      return 1;
-    }
-    cfg.link_speed.assign(pp, 1.0);
-    cfg.link_speed[static_cast<std::size_t>(slow_link)] = factor;
-  }
-  if (const auto problem = engine::validate(cfg); !problem.empty()) {
-    err << "msdiag demo: invalid config: " << problem << "\n";
-    return 1;
-  }
-
-  telemetry::Tracer tracer;
-  cfg.tracer = &tracer;
-  const auto result = engine::simulate_iteration(cfg);
-  if (!diag::write_text_file(out_path,
-                             telemetry::jsonl_spans(tracer.spans()))) {
-    err << "msdiag demo: cannot write " << out_path << "\n";
-    return 1;
-  }
-  out << "wrote " << out_path << " (" << tracer.size() << " spans, step "
-      << format_duration(result.iteration_time) << ")\n";
-  return 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  args.reserve(static_cast<std::size_t>(argc > 1 ? argc - 1 : 0));
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  if (!args.empty() && args.front() == "demo") {
-    return demo_main({args.begin() + 1, args.end()}, std::cout, std::cerr);
-  }
-  if (!args.empty() && args.front() == "ledger") {
-    return ms::telemetry::ledger_main({args.begin() + 1, args.end()},
-                                      std::cout, std::cerr);
-  }
-  if (!args.empty() && args.front() == "calibrate") {
-    return ms::calib::calibrate_main({args.begin() + 1, args.end()}, std::cout,
-                                     std::cerr);
-  }
-  if (!args.empty() && args.front() == "fabric") {
-    return ms::net::fabric::fabric_main({args.begin() + 1, args.end()},
-                                        std::cout, std::cerr);
-  }
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  const std::string cmd = args.empty() ? "" : args.front();
+  const std::vector<std::string> rest(argv + (argc > 1 ? 2 : 1), argv + argc);
+  auto& out = std::cout;
+  auto& err = std::cerr;
+  if (cmd == "demo") return ms::calib::demo_main(rest, out, err);
+  if (cmd == "ledger") return ms::telemetry::ledger_main(rest, out, err);
+  if (cmd == "calibrate") return ms::calib::calibrate_main(rest, out, err);
+  if (cmd == "fabric") return ms::net::fabric::fabric_main(rest, out, err);
   if (args.empty() || args.front() == "--help" || args.front() == "-h") {
     std::cerr << ms::diag::msdiag_usage() << ms::telemetry::ledger_usage()
               << ms::calib::calibrate_usage() << ms::net::fabric::fabric_usage();

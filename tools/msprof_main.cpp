@@ -16,8 +16,6 @@
 #include "prof/msprof.h"
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  args.reserve(static_cast<std::size_t>(argc > 1 ? argc - 1 : 0));
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
+  std::vector<std::string> args(argv + 1, argv + argc);
   return ms::prof::msprof_main(args, std::cout, std::cerr);
 }

@@ -23,33 +23,31 @@ void warn(IngestResult& out, const std::string& msg) {
 }
 
 /// Kineto pids/tids come as numbers or strings ("python 4021", "rank3",
-/// "stream 7"). Numeric content (possibly with a textual prefix) resolves
-/// to that number; anything else gets a dense id per distinct label.
+/// "stream 7"). A number must be an integer in [0, INT_MAX]; a string's
+/// trailing digit run resolves to that number; any other label gets a
+/// dense id per distinct label.
 class IdMapper {
  public:
-  int resolve(const json::Value& v) {
-    if (v.kind == json::Value::Kind::kNumber && std::isfinite(v.number)) {
-      return static_cast<int>(v.number);
+  void resolve(json::Fields& f, const json::Value& ev, std::string_view key,
+               int& id) {
+    const json::Value* v = ev.find(key);
+    if (v == nullptr) return;  // absent: the caller's default
+    if (v->kind != json::Value::Kind::kString) return f.integer(key, id);
+    const std::string& s = v->str;
+    // Trailing digit run: "python 4021" -> 4021, "rank3" -> 3.
+    std::size_t end = s.size();
+    while (end > 0 && std::isdigit(static_cast<unsigned char>(s[end - 1]))) {
+      --end;
     }
-    if (v.kind == json::Value::Kind::kString) {
-      const std::string& s = v.str;
-      // Trailing digit run: "python 4021" -> 4021, "rank3" -> 3.
-      std::size_t end = s.size();
-      while (end > 0 && std::isdigit(static_cast<unsigned char>(s[end - 1]))) {
-        --end;
-      }
-      std::int64_t digits = 0;
-      if (end < s.size() && s.size() - end <= 9 &&
-          flags::parse_int(s.substr(end), digits)) {
-        return static_cast<int>(digits);
-      }
-      auto it = labels_.find(s);
-      if (it != labels_.end()) return it->second;
-      const int id = next_++;
-      labels_.emplace(s, id);
-      return id;
+    std::int64_t digits = 0;
+    if (end < s.size() && s.size() - end <= 9 &&
+        flags::parse_int(s.substr(end), digits)) {
+      id = static_cast<int>(digits);
+      return;
     }
-    return 0;
+    auto it = labels_.find(s);
+    if (it == labels_.end()) it = labels_.emplace(s, next_++).first;
+    id = it->second;
   }
 
  private:
@@ -58,13 +56,12 @@ class IdMapper {
 };
 
 std::string fmt_number_token(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.2e18) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.2e18) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v + 0.0);  // + 0.0: no "-0"
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
   return buf;
 }
 
@@ -106,11 +103,20 @@ std::string args_to_detail(const json::Value& args) {
   return detail;
 }
 
-TimeNs us_to_ns(double us) {
+// Chrome ts/dur are microseconds. Capping both at 4.6e15 us (146 years)
+// keeps ts + dur in nanoseconds inside TimeNs.
+constexpr flags::Interval kMicros{0.0, 4.6e15, false, false};
+
+/// Reads the optional microsecond field `key` into `ns` (left as is when
+/// absent).
+void read_us(json::Fields& f, const json::Value& ev, std::string_view key,
+             TimeNs& ns) {
+  double us = 0;
+  if (!ev.has(key)) return;
+  f.real(key, us, kMicros);
   // Round, don't truncate: integral-ns spans exported as fractional µs
   // (ns / 1000) must round-trip bit-exactly for the determinism digests.
-  return static_cast<TimeNs>(
-      std::llround(us * static_cast<double>(kNsPerUs)));
+  if (f.ok()) ns = std::llround(us * static_cast<double>(kNsPerUs));
 }
 
 bool ingest_chrome_events(const json::Value& events, IngestResult& out,
@@ -130,9 +136,26 @@ bool ingest_chrome_events(const json::Value& events, IngestResult& out,
       warn(out, "event " + std::to_string(i) + ": not an object, skipped");
       continue;
     }
-    const std::string ph = ev.text("ph", "X");
-    const int pid = ev.has("pid") ? pids.resolve(ev.at("pid")) : 0;
-    const int tid = ev.has("tid") ? pids.resolve(ev.at("tid")) : 0;
+    // Every per-event field is optional, with the defaults below; one that
+    // is present but mistyped or out of range skips the event.
+    json::Fields f(ev);
+    std::string ph = "X";
+    int pid = 0, tid = 0;
+    diag::TraceSpan span;
+    span.name = "unnamed";
+    TimeNs dur = 0;
+    if (ev.has("ph")) f.text("ph", ph);
+    pids.resolve(f, ev, "pid", pid);
+    pids.resolve(f, ev, "tid", tid);
+    if (ev.has("name")) f.text("name", span.name);
+    if (ev.has("cat")) f.text("cat", span.tag);
+    read_us(f, ev, "ts", span.start);
+    read_us(f, ev, "dur", dur);
+    if (!f.ok()) {
+      ++out.skipped_events;
+      warn(out, "event " + std::to_string(i) + ": " + f.error() + ", skipped");
+      continue;
+    }
 
     if (ph == "M" || ph == "i" || ph == "I" || ph == "C" || ph == "s" ||
         ph == "t" || ph == "f" || ph == "N" || ph == "D" || ph == "O") {
@@ -142,16 +165,12 @@ bool ingest_chrome_events(const json::Value& events, IngestResult& out,
       continue;
     }
 
-    diag::TraceSpan span;
     span.rank = pid;
-    span.name = ev.text("name", "unnamed");
-    span.tag = ev.text("cat");
     if (ev.has("args") && ev.at("args").is_object()) {
       span.detail = args_to_detail(ev.at("args"));
     }
 
     if (ph == "B") {
-      span.start = us_to_ns(ev.num("ts"));
       open[{pid, tid}].push_back(std::move(span));
       continue;
     }
@@ -164,8 +183,7 @@ bool ingest_chrome_events(const json::Value& events, IngestResult& out,
       }
       diag::TraceSpan done = std::move(stack.back());
       stack.pop_back();
-      done.end = us_to_ns(ev.num("ts"));
-      if (done.end < done.start) done.end = done.start;
+      done.end = std::max(span.start, done.start);
       out.spans.push_back(std::move(done));
       continue;
     }
@@ -175,13 +193,10 @@ bool ingest_chrome_events(const json::Value& events, IngestResult& out,
         warn(out, "event " + std::to_string(i) + ": X without ts");
         continue;
       }
-      span.start = us_to_ns(ev.num("ts"));
-      if (ev.has("dur")) {
-        span.end = span.start + us_to_ns(ev.num("dur"));
-      } else {
+      span.end = span.start + dur;
+      if (!ev.has("dur")) {
         // Kineto occasionally drops dur on truncated captures; keep the
         // span as zero-length so DAG ordering survives.
-        span.end = span.start;
         warn(out, "event " + std::to_string(i) + " (" + span.name +
                       "): missing dur, kept as zero-length span");
       }
@@ -212,12 +227,13 @@ TraceFormat detect_trace_format(const std::string& text) {
     if (c != '{') return TraceFormat::kUnknown;
     // A '{' opens either one big Chrome-trace object or the first line of
     // span JSONL; the cheap discriminator is whether the first line parses
-    // as a standalone object.
-    const std::size_t eol = text.find('\n');
-    const std::string first =
-        eol == std::string::npos ? text : text.substr(0, eol);
+    // as a standalone object other than a one-line Chrome trace.
+    const std::string_view first = std::string_view(text).substr(
+        0, std::min(text.find('\n'), text.size()));
     json::Value v;
-    if (json::parse(first, v) && v.is_object()) return TraceFormat::kSpanJsonl;
+    if (json::parse(first, v) && v.is_object() && !v.has("traceEvents")) {
+      return TraceFormat::kSpanJsonl;
+    }
     return TraceFormat::kChromeTrace;
   }
   return TraceFormat::kUnknown;
@@ -233,15 +249,12 @@ bool ingest_trace(const std::string& text, IngestResult& out,
     return false;
   }
   if (format == TraceFormat::kSpanJsonl) {
-    if (!diag::parse_trace_jsonl(text, out.spans)) {
-      error = "malformed span JSONL";
-      return false;
-    }
-    return true;
+    return diag::parse_trace_jsonl(text, out.spans, &error);
   }
   json::Value root;
-  if (!json::parse(text, root)) {
-    error = "malformed Chrome-trace JSON";
+  std::size_t offset = 0;
+  if (!json::parse(text, root, &offset)) {
+    error = "byte " + std::to_string(offset) + ": malformed Chrome-trace JSON";
     return false;
   }
   if (root.is_array()) return ingest_chrome_events(root, out, error);
@@ -263,7 +276,9 @@ bool ingest_trace_file(const std::string& path, IngestResult& out,
     error = "cannot read " + path;
     return false;
   }
-  return ingest_trace(text, out, error);
+  if (ingest_trace(text, out, error)) return true;
+  error = path + ": " + error;
+  return false;
 }
 
 }  // namespace ms::calib

@@ -15,6 +15,9 @@
 //  * begin/end ("B"/"E") pairs instead of complete events;
 //  * per-event `args` objects — flattened into the span's `k=v` detail
 //    string so diag::SpanAttrs and the calibration classifier see them.
+// An event whose ts/dur is not a finite number in [0, 4.6e15] µs, or whose
+// numeric pid/tid is not an integer in [0, INT_MAX], is skipped with a
+// warning rather than cast; the repo's own artifacts fail the load instead.
 #pragma once
 
 #include <cstddef>
@@ -41,13 +44,16 @@ struct IngestResult {
 enum class TraceFormat { kSpanJsonl, kChromeTrace, kUnknown };
 TraceFormat detect_trace_format(const std::string& text);
 
-/// Parses `text` in either format. Returns false (with `error` set) only
-/// when the artifact is structurally unreadable; per-event quirks are
-/// tolerated and reported through IngestResult.
+/// Parses `text` in either format. Returns false (with `error` set) when
+/// the artifact is structurally unreadable or, for span JSONL, when a span
+/// field is missing, mistyped or out of range (the repo's own artifacts
+/// fail the whole load). Chrome-trace events are quirk-tolerant instead: an
+/// event whose ts, dur, pid, tid, ph, name or cat is mistyped or out of
+/// range is skipped, counted and reported through IngestResult.
 bool ingest_trace(const std::string& text, IngestResult& out,
                   std::string& error);
 
-/// Convenience: read + ingest a file.
+/// Convenience: read + ingest a file; errors are prefixed with `path`.
 bool ingest_trace_file(const std::string& path, IngestResult& out,
                        std::string& error);
 

@@ -1,14 +1,13 @@
 #include "chaos/outcome.h"
 
-#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "check/digest.h"
-#include "core/flags.h"
+#include "core/json.h"
 
 namespace ms::chaos {
 
@@ -189,63 +188,12 @@ void emit_latency(std::string& out, const char* key, const LatencyStats& s) {
   out += "},";
 }
 
-/// Scans for `"key":` and returns the raw token after it (number or quoted
-/// string without quotes). Only good for the flat objects we emit.
-bool scan_token(const std::string& text, const std::string& key,
-                std::string& token) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t i = pos + needle.size();
-  while (i < text.size() && (text[i] == ' ' || text[i] == '\n')) ++i;
-  if (i >= text.size()) return false;
-  if (text[i] == '"') {
-    const auto end = text.find('"', i + 1);
-    if (end == std::string::npos) return false;
-    token = text.substr(i + 1, end - i - 1);
-    return true;
-  }
-  std::size_t end = i;
-  while (end < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[end])) ||
-          text[end] == '-' || text[end] == '+' || text[end] == '.' ||
-          text[end] == 'e' || text[end] == 'E')) {
-    ++end;
-  }
-  if (end == i) return false;
-  token = text.substr(i, end - i);
-  return true;
-}
-
-bool scan_d(const std::string& text, const std::string& key, double& v) {
-  std::string token;
-  return scan_token(text, key, token) && flags::parse_double(token, v);
-}
-
-bool scan_i(const std::string& text, const std::string& key, std::int64_t& v) {
-  std::string token;
-  return scan_token(text, key, token) && flags::parse_int(token, v);
-}
-
-bool scan_u(const std::string& text, const std::string& key, std::uint64_t& v) {
-  std::string token;
-  // Base 0: digests are written as "0x..." hex.
-  return scan_token(text, key, token) && flags::parse_uint(token, v, 0);
-}
-
-bool scan_latency(const std::string& text, const std::string& key,
-                  LatencyStats& s) {
-  const std::string needle = "\"" + key + "\":{";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  const auto end = text.find('}', pos);
-  if (end == std::string::npos) return false;
-  const std::string body = text.substr(pos, end - pos + 1);
-  std::int64_t count = 0;
-  if (!scan_i(body, "count", count)) return false;
-  s.count = static_cast<int>(count);
-  return scan_i(body, "mean_ns", s.mean) && scan_i(body, "p50_ns", s.p50) &&
-         scan_i(body, "p95_ns", s.p95) && scan_i(body, "max_ns", s.max);
+void read_latency(json::Fields f, LatencyStats& s) {
+  f.integer("count", s.count);
+  f.integer("mean_ns", s.mean);
+  f.integer("p50_ns", s.p50);
+  f.integer("p95_ns", s.p95);
+  f.integer("max_ns", s.max);
 }
 
 }  // namespace
@@ -280,43 +228,37 @@ std::string to_json(const OutcomeRecord& r) {
 }
 
 bool from_json(const std::string& text, OutcomeRecord& out) {
+  json::Value v;
+  if (!json::parse(text, v)) return false;
   OutcomeRecord r;
-  std::int64_t seed = 0, faults = 0, restarts = 0, undetected = 0, nccl = 0,
-               spares = 0, fab_loc = 0, fab_top1 = 0, fab_alarms = 0;
-  if (!scan_token(text, "scenario", r.scenario)) return false;
-  if (!scan_i(text, "seed", seed)) return false;
+  std::int64_t seed = 0;
+  json::Fields f(v);
+  f.text("scenario", r.scenario);
+  f.integer("seed", seed, std::numeric_limits<std::int64_t>::min());
+  f.real("effective_time_ratio", r.effective_time_ratio);
+  f.real("slowdown_factor", r.slowdown_factor);
+  f.integer("faults_injected", r.faults_injected);
+  f.integer("restarts", r.restarts);
+  f.integer("undetected_faults", r.undetected_faults);
+  f.integer("steps_lost", r.steps_lost);
+  read_latency(f.object("detect_latency"), r.detect_latency);
+  read_latency(f.object("recovery_latency"), r.recovery_latency);
+  f.integer("ckpt_stall_total_ns", r.ckpt_stall_total);
+  f.integer("flap_stall_total_ns", r.flap_stall_total);
+  f.integer("nccl_errors", r.nccl_errors);
+  f.real("pfc_pause_fraction", r.pfc_pause_fraction);
+  f.real("ecmp_conflict_fraction", r.ecmp_conflict_fraction);
+  f.integer("spare_pool_exhausted", r.spare_pool_exhausted);
+  f.integer("fabric_localizations", r.fabric_localizations);
+  f.integer("fabric_top1_correct", r.fabric_top1_correct);
+  f.integer("fabric_alarms", r.fabric_alarms);
+  f.integer("fabric_detect_latency_ns", r.fabric_detect_latency);
+  f.hex("schedule_digest", r.schedule_digest);
+  f.hex("engine_digest", r.engine_digest);
+  f.hex("record_digest", r.record_digest);
+  if (!f.ok()) return false;
+  // to_json writes the uint64 seed's bits as an int64.
   r.seed = static_cast<std::uint64_t>(seed);
-  if (!scan_d(text, "effective_time_ratio", r.effective_time_ratio) ||
-      !scan_d(text, "slowdown_factor", r.slowdown_factor) ||
-      !scan_i(text, "faults_injected", faults) ||
-      !scan_i(text, "restarts", restarts) ||
-      !scan_i(text, "undetected_faults", undetected) ||
-      !scan_i(text, "steps_lost", r.steps_lost) ||
-      !scan_latency(text, "detect_latency", r.detect_latency) ||
-      !scan_latency(text, "recovery_latency", r.recovery_latency) ||
-      !scan_i(text, "ckpt_stall_total_ns", r.ckpt_stall_total) ||
-      !scan_i(text, "flap_stall_total_ns", r.flap_stall_total) ||
-      !scan_i(text, "nccl_errors", nccl) ||
-      !scan_d(text, "pfc_pause_fraction", r.pfc_pause_fraction) ||
-      !scan_d(text, "ecmp_conflict_fraction", r.ecmp_conflict_fraction) ||
-      !scan_i(text, "spare_pool_exhausted", spares) ||
-      !scan_i(text, "fabric_localizations", fab_loc) ||
-      !scan_i(text, "fabric_top1_correct", fab_top1) ||
-      !scan_i(text, "fabric_alarms", fab_alarms) ||
-      !scan_i(text, "fabric_detect_latency_ns", r.fabric_detect_latency) ||
-      !scan_u(text, "schedule_digest", r.schedule_digest) ||
-      !scan_u(text, "engine_digest", r.engine_digest) ||
-      !scan_u(text, "record_digest", r.record_digest)) {
-    return false;
-  }
-  r.faults_injected = static_cast<int>(faults);
-  r.restarts = static_cast<int>(restarts);
-  r.undetected_faults = static_cast<int>(undetected);
-  r.nccl_errors = static_cast<int>(nccl);
-  r.spare_pool_exhausted = static_cast<int>(spares);
-  r.fabric_localizations = static_cast<int>(fab_loc);
-  r.fabric_top1_correct = static_cast<int>(fab_top1);
-  r.fabric_alarms = static_cast<int>(fab_alarms);
   out = r;
   return true;
 }

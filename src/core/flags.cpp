@@ -47,6 +47,20 @@ bool parse_double(const std::string& text, double& out) {
   return true;
 }
 
+bool contains(const Interval& range, double x) {
+  if (!std::isfinite(x)) return false;
+  if (range.lo_open ? x <= range.lo : x < range.lo) return false;
+  return range.hi_open ? x < range.hi : x <= range.hi;
+}
+
+std::string describe(const Interval& range) {
+  if (std::isinf(range.lo) && std::isinf(range.hi)) return "a finite number";
+  std::ostringstream out;  // inf prints as "inf"
+  out << "a finite number in " << (range.lo_open ? "(" : "[") << range.lo
+      << ", " << range.hi << (range.hi_open ? ")" : "]");
+  return out.str();
+}
+
 Parser::Parser(std::string command, std::string usage)
     : command_(std::move(command)), usage_(std::move(usage)) {
   for (char c : command_) {
@@ -101,17 +115,12 @@ void Parser::seed(std::string name, std::uint64_t& slot) {
 
 void Parser::real(std::string name, double& slot, Interval range,
                   std::string keyword) {
-  std::ostringstream accepts;  // inf prints as "inf"
-  accepts << "a finite number in " << (range.lo_open ? "(" : "[") << range.lo
-          << ", " << range.hi << (range.hi_open ? ")" : "]")
-          << (keyword.empty() ? "" : " or " + keyword);
-  add(flags_, std::move(name), accepts.str(),
+  add(flags_, std::move(name),
+      describe(range) + (keyword.empty() ? "" : " or " + keyword),
       [&slot, range, keyword, fallback = slot](const std::string& v) {
         double x = fallback;
         if (keyword.empty() || v != keyword) {
-          if (!parse_double(v, x)) return false;
-          if (range.lo_open ? x <= range.lo : x < range.lo) return false;
-          if (range.hi_open ? x >= range.hi : x > range.hi) return false;
+          if (!parse_double(v, x) || !contains(range, x)) return false;
         }
         slot = x;
         return true;

@@ -1,5 +1,6 @@
 // Command-line flags and strict number parsing: the one module that turns
-// argv tokens, and numbers in the repo's own artifacts, into values.
+// argv tokens into values (artifact fields go through core/json's reader,
+// which shares the number helpers and Interval below).
 //
 // A CLI declares each flag once on a Parser (name, slot and, for a value
 // flag, what it accepts) and parses argv with it. The grammar: a value flag
@@ -39,9 +40,15 @@ struct Interval {
   bool hi_open = false;
 };
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
+inline constexpr Interval kFinite{-kInf, kInf, true, true};      // finite
 inline constexpr Interval kPositive{0.0, kInf, true, true};      // (0, inf)
 inline constexpr Interval kNonNegative{0.0, kInf, false, true};  // [0, inf)
 inline constexpr Interval kFraction{0.0, 1.0, true, false};      // (0, 1]
+
+/// Whether `x` is finite and inside `range`.
+bool contains(const Interval& range, double x);
+/// "a finite number in [lo, hi)", or "a finite number" when unbounded.
+std::string describe(const Interval& range);
 
 class Parser {
  public:

@@ -1,10 +1,14 @@
 #include "core/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+
+#include "core/time.h"
 
 namespace ms::json {
 
@@ -31,30 +35,40 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-double Value::num(const std::string& key, double fallback) const {
-  if (!has(key)) return fallback;
-  const Value& v = at(key);
-  return v.kind == Kind::kNumber ? v.number : fallback;
+void append_complete_event(std::string& out, const std::string& name,
+                           const std::string& cat, long long pid,
+                           long long tid, std::int64_t start_ns,
+                           std::int64_t dur_ns, const std::string& detail) {
+  char num[96];
+  std::snprintf(num, sizeof(num),
+                ",\"pid\":%lld,\"tid\":%lld,\"ts\":%.3f,\"dur\":%.3f", pid, tid,
+                to_microseconds(start_ns), to_microseconds(dur_ns));
+  out += "{\"name\":\"" + escape(name) + "\",\"cat\":\"" + escape(cat) +
+         "\",\"ph\":\"X\"" + num;
+  if (!detail.empty()) {
+    out += ",\"args\":{\"detail\":\"" + escape(detail) + "\"}";
+  }
+  out += '}';
 }
 
-std::string Value::text(const std::string& key,
-                        const std::string& fallback) const {
-  if (!has(key)) return fallback;
-  const Value& v = at(key);
-  return v.kind == Kind::kString ? v.str : fallback;
+const Value* Value::find(std::string_view key) const {
+  if (kind != Kind::kObject) return nullptr;
+  const auto it = object->find(key);
+  return it == object->end() ? nullptr : &it->second;
 }
 
 namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : s_(text) {}
+  explicit Parser(std::string_view text) : s_(text) {}
 
   bool parse(Value& out) {
     if (!value(out, 0)) return false;
     skip_ws();
     return pos_ == s_.size();
   }
+  std::size_t pos() const { return pos_; }
 
  private:
   void skip_ws() {
@@ -93,7 +107,7 @@ class Parser {
         case 'f': out += '\f'; break;
         case 'u': {
           if (pos_ + 4 > s_.size()) return false;
-          const std::string hex = s_.substr(pos_, 4);
+          const std::string hex(s_.substr(pos_, 4));
           pos_ += 4;
           char* end = nullptr;
           const long code = std::strtol(hex.c_str(), &end, 16);
@@ -150,18 +164,35 @@ class Parser {
       }
     };
     eat_digits();
+    bool integral = digits;
     if (pos_ < s_.size() && s_[pos_] == '.') {
       ++pos_;
       eat_digits();
+      integral = false;
     }
+    if (!digits) return false;
     if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
+      digits = false;
       eat_digits();
+      if (!digits) return false;
+      integral = false;
     }
-    if (!digits) return false;
     out.kind = Value::Kind::kNumber;
-    out.number = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
+    // An integer literal that fits int64 keeps its exact value and skips
+    // strtod: the int64 converts to the same double strtod rounds it to.
+    const bool neg = s_[start] == '-';
+    const char* first = s_.data() + start + (s_[start] == '+' ? 1 : 0);
+    out.integral = integral && std::from_chars(first, s_.data() + pos_,
+                                               out.integer).ec == std::errc{};
+    if (out.integral) {
+      out.number = neg && out.integer == 0 ? -0.0
+                                           : static_cast<double>(out.integer);
+    } else {
+      const std::string token(s_.substr(start, pos_ - start));
+      out.number = std::strtod(token.c_str(), nullptr);
+    }
     return true;
   }
   /// `depth` counts the arrays/objects enclosing this value.
@@ -206,7 +237,7 @@ class Parser {
     if (c == '{') {
       ++pos_;
       out.kind = Value::Kind::kObject;
-      out.object = std::make_shared<std::map<std::string, Value>>();
+      out.object = std::make_shared<decltype(out.object)::element_type>();
       skip_ws();
       if (pos_ < s_.size() && s_[pos_] == '}') {
         ++pos_;
@@ -238,16 +269,134 @@ class Parser {
     return number_body(out);
   }
 
-  const std::string& s_;
+  std::string_view s_;
   std::size_t pos_ = 0;
 };
 
+/// How an error message shows a value it rejected.
+std::string describe(const Value& v) {
+  char num[32];
+  switch (v.kind) {
+    case Value::Kind::kNull: return "null";
+    case Value::Kind::kBool: return v.boolean ? "true" : "false";
+    case Value::Kind::kNumber:
+      if (v.integral) return std::to_string(v.integer);
+      return {num, std::to_chars(num, num + sizeof(num), v.number).ptr};
+    case Value::Kind::kString:
+      return "\"" + escape(v.str.substr(0, 40)) +
+             (v.str.size() > 40 ? "...\"" : "\"");
+    case Value::Kind::kArray: return "an array";
+    case Value::Kind::kObject: return "an object";
+  }
+  return "?";
+}
+
 }  // namespace
 
-bool parse(const std::string& text, Value& out) {
+bool parse(std::string_view text, Value& out, std::size_t* error_offset) {
   Value v;
-  if (!Parser(text).parse(v)) return false;
+  Parser parser(text);
+  if (!parser.parse(v)) {
+    if (error_offset != nullptr) *error_offset = parser.pos();
+    return false;
+  }
   out = std::move(v);
+  return true;
+}
+
+// ---------------------------------------------------------------- Fields
+
+Fields::Fields(const Value* object, std::string* error, std::string prefix)
+    : object_(object), error_(error), prefix_(std::move(prefix)) {}
+
+const Value* Fields::find(std::string_view key) const {
+  return ok() && object_ != nullptr ? object_->find(key) : nullptr;
+}
+
+void Fields::reject(std::string_view key, const Value* got,
+                    const std::string& expects) {
+  if (!ok()) return;
+  *error_ = "field \"" + prefix_ + std::string(key) + "\": " +
+            (got != nullptr ? "got " + describe(*got) : "missing") +
+            ", expects " + expects;
+}
+
+void Fields::text(std::string_view key, std::string& slot) {
+  const Value* v = find(key);
+  if (v != nullptr && v->kind == Value::Kind::kString) {
+    slot = v->str;
+  } else {
+    reject(key, v, "a string");
+  }
+}
+
+bool Fields::read_int(std::string_view key, std::int64_t& n, std::int64_t lo,
+                      std::int64_t hi) {
+  const Value* v = find(key);
+  if (v != nullptr && v->integral && v->integer >= lo && v->integer <= hi) {
+    n = v->integer;
+    return true;
+  }
+  reject(key, v, "an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+  return false;
+}
+
+void Fields::real(std::string_view key, double& slot,
+                  const flags::Interval& range) {
+  const Value* v = find(key);
+  if (v != nullptr && v->kind == Value::Kind::kNumber &&
+      flags::contains(range, v->number)) {
+    slot = v->number;
+  } else {
+    reject(key, v, flags::describe(range));
+  }
+}
+
+void Fields::hex(std::string_view key, std::uint64_t& slot) {
+  // parse_uint's base 16 takes the "0x" itself and rejects a second one.
+  const Value* v = find(key);
+  if (v == nullptr || v->kind != Value::Kind::kString ||
+      v->str.rfind("0x", 0) != 0 || !flags::parse_uint(v->str, slot, 16)) {
+    reject(key, v, "a \"0x\"-prefixed 64-bit hex string");
+  }
+}
+
+Fields Fields::object(std::string_view key) {
+  const Value* v = find(key);
+  if (v == nullptr || !v->is_object()) reject(key, v, "an object");
+  return Fields(ok() ? v : nullptr, error_, prefix_ + std::string(key) + ".");
+}
+
+void Fields::fail(std::string problem) {
+  if (ok()) *error_ = std::move(problem);
+}
+
+bool fail(std::string* error, std::string problem) {
+  if (error != nullptr) *error = std::move(problem);
+  return false;
+}
+
+bool parse_lines(std::string_view text, const std::function<void(Fields&)>& row,
+                 std::string* error) {
+  Value v;
+  for (std::size_t line_no = 1; !text.empty(); ++line_no) {
+    const std::string_view line = text.substr(0, text.find('\n'));
+    text.remove_prefix(std::min(line.size() + 1, text.size()));
+    if (line.empty()) continue;
+    const auto at = [line_no] { return "line " + std::to_string(line_no); };
+    std::size_t offset = 0;
+    if (!parse(line, v, &offset)) {
+      return fail(error, at() + ", byte " + std::to_string(offset) +
+                             ": malformed JSON");
+    }
+    if (!v.is_object()) {
+      return fail(error, at() + ": got " + describe(v) + ", expects an object");
+    }
+    Fields f(v);
+    row(f);
+    if (!f.ok()) return fail(error, at() + ": " + f.error());
+  }
   return true;
 }
 

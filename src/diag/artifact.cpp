@@ -29,24 +29,22 @@ bool read_text_file(const std::string& path, std::string& out) {
   return true;
 }
 
-bool parse_trace_jsonl(const std::string& text, std::vector<TraceSpan>& out) {
+bool parse_trace_jsonl(const std::string& text, std::vector<TraceSpan>& out,
+                       std::string* error) {
   std::vector<TraceSpan> spans;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::Value v;
-    if (!json::parse(line, v) || !v.is_object()) return false;
-    if (v.text("type") != "span") continue;  // metrics mixed into the export
-    TraceSpan s;
-    s.rank = static_cast<int>(v.num("rank"));
-    s.name = v.text("name");
-    s.tag = v.text("tag");
-    s.start = static_cast<TimeNs>(v.num("start_ns"));
-    s.end = static_cast<TimeNs>(v.num("end_ns"));
-    s.detail = v.text("detail");
-    spans.push_back(std::move(s));
-  }
+  const auto row = [&](json::Fields& f) {
+    std::string type;
+    f.text("type", type);
+    if (type != "span") return;  // metrics mixed into the export
+    TraceSpan& s = spans.emplace_back();
+    f.integer("rank", s.rank);
+    f.text("name", s.name);
+    f.text("tag", s.tag);
+    f.integer("start_ns", s.start);
+    f.integer("end_ns", s.end, s.start);
+    if (f.find("detail") != nullptr) f.text("detail", s.detail);
+  };
+  if (!json::parse_lines(text, row, error)) return false;
   out = std::move(spans);
   return true;
 }

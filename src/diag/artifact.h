@@ -22,7 +22,10 @@ bool write_text_file(const std::string& path, const std::string& content);
 bool read_text_file(const std::string& path, std::string& out);
 
 /// Parses a span JSONL artifact. Lines of other types (metrics mixed into
-/// the same export) are skipped; malformed JSON fails the load.
-bool parse_trace_jsonl(const std::string& text, std::vector<TraceSpan>& out);
+/// the same export) are skipped. Malformed JSON, or a span field that is
+/// missing, mistyped or out of range, fails the load with `*error` naming
+/// the line (see json::parse_lines).
+bool parse_trace_jsonl(const std::string& text, std::vector<TraceSpan>& out,
+                       std::string* error = nullptr);
 
 }  // namespace ms::diag

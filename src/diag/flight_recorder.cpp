@@ -86,34 +86,37 @@ std::string flight_dump_jsonl(const FlightDump& dump) {
   return out.str();
 }
 
-bool parse_flight_dump_jsonl(const std::string& text, FlightDump& out) {
+bool parse_flight_dump_jsonl(const std::string& text, FlightDump& out,
+                             std::string* error) {
   FlightDump dump;
   bool saw_header = false;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::Value v;
-    if (!json::parse(line, v) || !v.is_object()) return false;
-    const std::string type = v.text("type");
-    if (type == "flight-dump") {
-      if (saw_header) return false;
+  std::uint64_t declared = 0;
+  const auto row = [&](json::Fields& f) {
+    std::string type;
+    f.text("type", type);
+    if (type == "flight-dump" && !saw_header) {
       saw_header = true;
-      dump.reason = v.text("reason");
-      dump.time = static_cast<TimeNs>(v.num("time_ns"));
-    } else if (type == "flight-event") {
-      FlightEvent ev;
-      ev.time = static_cast<TimeNs>(v.num("time_ns"));
-      ev.node = static_cast<int>(v.num("node"));
-      ev.kind = v.text("kind");
-      ev.detail = v.text("detail");
-      ev.seq = static_cast<std::uint64_t>(v.num("seq"));
-      dump.events.push_back(std::move(ev));
+      f.text("reason", dump.reason);
+      f.integer("time_ns", dump.time);
+      f.integer("events", declared);
+    } else if (type == "flight-event" && saw_header) {
+      FlightEvent& ev = dump.events.emplace_back();
+      f.integer("time_ns", ev.time);
+      f.integer("node", ev.node);
+      f.text("kind", ev.kind);
+      f.text("detail", ev.detail);
+      f.integer("seq", ev.seq);
     } else {
-      return false;
+      f.fail("unexpected \"" + type + "\" line");
     }
+  };
+  if (!json::parse_lines(text, row, error)) return false;
+  if (!saw_header) return json::fail(error, "no flight-dump header");
+  if (declared != dump.events.size()) {
+    return json::fail(error, "header declares " + std::to_string(declared) +
+                                 " events, read " +
+                                 std::to_string(dump.events.size()));
   }
-  if (!saw_header) return false;
   out = std::move(dump);
   return true;
 }

@@ -83,9 +83,11 @@ class FlightRecorder {
 /// line per event.
 std::string flight_dump_jsonl(const FlightDump& dump);
 
-/// Parses what flight_dump_jsonl produced. Returns false on malformed
-/// input.
-bool parse_flight_dump_jsonl(const std::string& text, FlightDump& out);
+/// Parses what flight_dump_jsonl produced: the header first, then as many
+/// events as it declares. Any other input fails with `*error` naming the
+/// line and field (see json::parse_lines).
+bool parse_flight_dump_jsonl(const std::string& text, FlightDump& out,
+                             std::string* error = nullptr);
 
 /// Folds a dump onto the unified timeline (one lane per node, one short
 /// span per event) so it exports through chrome_trace_json() to Perfetto.

@@ -22,8 +22,9 @@ bool load_spans(const std::string& path, std::vector<TraceSpan>& spans,
     err << "msdiag: cannot read " << path << '\n';
     return false;
   }
-  if (!parse_trace_jsonl(text, spans)) {
-    err << "msdiag: malformed trace artifact " << path << '\n';
+  std::string problem;
+  if (!parse_trace_jsonl(text, spans, &problem)) {
+    err << "msdiag: " << path << ": " << problem << '\n';
     return false;
   }
   if (spans.empty()) {
@@ -78,8 +79,9 @@ int cmd_flight(const std::vector<std::string>& args, std::ostream& out,
     return 1;
   }
   FlightDump dump;
-  if (!parse_flight_dump_jsonl(text, dump)) {
-    err << "msdiag: malformed flight dump " << path << '\n';
+  std::string problem;
+  if (!parse_flight_dump_jsonl(text, dump, &problem)) {
+    err << "msdiag: " << path << ": " << problem << '\n';
     return 1;
   }
   out << "flight dump: reason \"" << dump.reason << "\" at "

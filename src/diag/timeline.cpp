@@ -47,29 +47,14 @@ TimeNs TimelineTrace::idle_time(int rank, TimeNs from, TimeNs to) const {
 }
 
 std::string TimelineTrace::chrome_trace_json() const {
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  bool first = true;
-  char num[64];
+  std::string out = "{\"traceEvents\":[";
   for (const auto& s : spans_) {
-    if (!first) out << ',';
-    first = false;
-    // Fractional microseconds ("%.3f" = nanosecond resolution) so sub-µs
-    // spans keep a nonzero duration in the viewer.
-    out << "{\"name\":\"" << json::escape(s.name) << "\",\"cat\":\""
-        << json::escape(s.tag) << "\",\"ph\":\"X\",\"pid\":" << s.rank
-        << ",\"tid\":0";
-    std::snprintf(num, sizeof(num), "%.3f", to_microseconds(s.start));
-    out << ",\"ts\":" << num;
-    std::snprintf(num, sizeof(num), "%.3f", to_microseconds(s.end - s.start));
-    out << ",\"dur\":" << num;
-    if (!s.detail.empty()) {
-      out << ",\"args\":{\"detail\":\"" << json::escape(s.detail) << "\"}";
-    }
-    out << '}';
+    if (out.back() != '[') out += ',';
+    json::append_complete_event(out, s.name, s.tag, s.rank, 0, s.start,
+                                s.end - s.start, s.detail);
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 std::string TimelineTrace::render(TimeNs from, TimeNs to,

@@ -63,12 +63,15 @@ std::string ProfileReport::to_jsonl() const {
       << "\",\"wall_ns\":" << wall_ns << ",\"events\":" << events
       << ",\"allocs\":" << allocs << ",\"digest\":\"" << digest_hex
       << "\"}\n";
+  char quantiles[96];
   for (const ScopeStats& s : scopes) {
+    std::snprintf(quantiles, sizeof(quantiles),
+                  ",\"p50_ns\":%.17g,\"p99_ns\":%.17g}\n", s.p50_ns,
+                  s.p99_ns);  // round-trip exact
     out << "{\"kind\":\"scope\",\"name\":\"" << json::escape(s.name)
         << "\",\"count\":" << s.count << ",\"total_ns\":" << s.total_ns
         << ",\"self_ns\":" << s.self_ns << ",\"min_ns\":" << s.min_ns
-        << ",\"max_ns\":" << s.max_ns << ",\"p50_ns\":" << s.p50_ns
-        << ",\"p99_ns\":" << s.p99_ns << "}\n";
+        << ",\"max_ns\":" << s.max_ns << quantiles;
   }
   return out.str();
 }
@@ -121,8 +124,11 @@ ProfileReport capture(const std::string& workload, WallNs wall_ns,
     s.self_ns = snap.self_ns;
     s.min_ns = snap.min_ns;
     s.max_ns = snap.max_ns;
-    s.p50_ns = snap.hist_ns.p50();
-    s.p99_ns = snap.hist_ns.p99();
+    // Log2-bucket midpoints can land outside the samples' own range.
+    const auto lo = static_cast<double>(snap.min_ns);
+    const auto hi = static_cast<double>(snap.max_ns);
+    s.p50_ns = std::clamp(snap.hist_ns.p50(), lo, hi);
+    s.p99_ns = std::clamp(snap.hist_ns.p99(), lo, hi);
     report.scopes.push_back(std::move(s));
   }
   std::sort(report.scopes.begin(), report.scopes.end(),
@@ -137,49 +143,32 @@ bool parse_jsonl(const std::string& text, ProfileReport& out,
                  std::string* error) {
   ProfileReport report;
   bool saw_header = false;
-  std::istringstream lines(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    json::Value v;
-    if (!json::parse(line, v) || !v.is_object()) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": malformed JSON";
-      }
-      return false;
-    }
-    const std::string kind = v.text("kind");
+  const auto row = [&](json::Fields& f) {
+    std::string kind;
+    f.text("kind", kind);
     if (kind == "profile") {
-      report.workload = v.text("workload");
-      report.wall_ns = static_cast<std::uint64_t>(v.num("wall_ns"));
-      report.events = static_cast<std::uint64_t>(v.num("events"));
-      report.allocs = static_cast<std::uint64_t>(v.num("allocs"));
       saw_header = true;
-    } else if (kind == "scope") {
-      ScopeStats s;
-      s.name = v.text("name");
-      s.count = static_cast<std::uint64_t>(v.num("count"));
-      s.total_ns = static_cast<std::uint64_t>(v.num("total_ns"));
-      s.self_ns = static_cast<std::uint64_t>(v.num("self_ns"));
-      s.min_ns = static_cast<std::uint64_t>(v.num("min_ns"));
-      s.max_ns = static_cast<std::uint64_t>(v.num("max_ns"));
-      s.p50_ns = v.num("p50_ns");
-      s.p99_ns = v.num("p99_ns");
-      report.scopes.push_back(std::move(s));
+      f.text("workload", report.workload);
+      f.integer("wall_ns", report.wall_ns);
+      f.integer("events", report.events);
+      f.integer("allocs", report.allocs);
+    } else if (kind == "scope" && saw_header) {
+      ScopeStats& s = report.scopes.emplace_back();
+      f.text("name", s.name);
+      f.integer("count", s.count);
+      f.integer("total_ns", s.total_ns);
+      f.integer("self_ns", s.self_ns);
+      f.integer("min_ns", s.min_ns);
+      f.integer("max_ns", s.max_ns);
+      f.real("p50_ns", s.p50_ns, flags::kNonNegative);
+      f.real("p99_ns", s.p99_ns, flags::kNonNegative);
     } else {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": unknown kind '" +
-                 kind + "'";
-      }
-      return false;
+      f.fail("unexpected \"" + kind + "\" line" +
+             (saw_header ? "" : " before the profile header"));
     }
-  }
-  if (!saw_header) {
-    if (error != nullptr) *error = "missing profile header line";
-    return false;
-  }
+  };
+  if (!json::parse_lines(text, row, error)) return false;
+  if (!saw_header) return json::fail(error, "missing profile header line");
   out = std::move(report);
   return true;
 }
@@ -254,13 +243,13 @@ std::string to_chrome_trace(const std::vector<TraceEvent>& events,
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\"sim-thread-"
         << tid << "\"}}";
   }
+  std::string x_events;
   for (const TraceEvent& ev : events) {
-    const double ts_us = static_cast<double>(ev.start - t0) / kNsPerUs;
-    const double dur_us = static_cast<double>(ev.dur) / kNsPerUs;
-    out << ",{\"ph\":\"X\",\"pid\":1,\"tid\":" << ev.tid << ",\"name\":\""
-        << json::escape(scope_name(ev.id)) << "\",\"ts\":" << ts_us
-        << ",\"dur\":" << dur_us << "}";
+    x_events += ',';
+    json::append_complete_event(x_events, scope_name(ev.id), "prof", 1, ev.tid,
+                                ev.start - t0, ev.dur);
   }
+  out << x_events;
   out << "]}\n";
   return out.str();
 }

@@ -66,8 +66,9 @@ struct ProfileReport {
 ProfileReport capture(const std::string& workload, WallNs wall_ns,
                       std::uint64_t events);
 
-/// Parses a to_jsonl() artifact. Returns false (with *error set when
-/// non-null) on malformed input.
+/// Parses a to_jsonl() artifact: the header line first, then the scopes.
+/// Any other input fails with `*error` naming the line and field (see
+/// json::parse_lines).
 bool parse_jsonl(const std::string& text, ProfileReport& out,
                  std::string* error = nullptr);
 

@@ -287,14 +287,11 @@ void emit_lost(std::ostringstream& out,
   out << "}";
 }
 
-bool parse_lost(const json::Value& v,
-                std::array<TimeNs, kLostCauseCount>& lost) {
-  if (!v.is_object()) return false;
+void read_lost(json::Fields f, std::array<TimeNs, kLostCauseCount>& lost) {
   for (int c = 0; c < kLostCauseCount; ++c) {
-    lost[static_cast<std::size_t>(c)] = static_cast<TimeNs>(
-        v.num(lost_cause_name(static_cast<LostCause>(c)), 0));
+    f.integer(lost_cause_name(static_cast<LostCause>(c)),
+              lost[static_cast<std::size_t>(c)]);
   }
-  return true;
 }
 
 }  // namespace
@@ -337,65 +334,56 @@ std::string to_jsonl(const LedgerSeries& series) {
   return out.str();
 }
 
-bool parse_ledger_jsonl(const std::string& text, LedgerSeries& out) {
+bool parse_ledger_jsonl(const std::string& text, LedgerSeries& out,
+                        std::string* error) {
   LedgerSeries series;
   bool saw_header = false, saw_summary = false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    json::Value v;
-    if (!json::parse(line, v) || !v.is_object()) return false;
-    const std::string type = v.text("type");
+  const auto row = [&](json::Fields& f) {
+    std::string type;
+    f.text("type", type);
     if (type == "ledger") {
       saw_header = true;
-      series.duration = static_cast<TimeNs>(v.num("duration_ns"));
-      series.interval = static_cast<TimeNs>(v.num("interval_ns"));
-      series.steady.step_time = static_cast<TimeNs>(v.num("step_ns"));
-      series.steady.mfu = v.num("steady_mfu");
-      series.steady.tokens_per_second = v.num("steady_tokens_per_second");
-      if (v.has("step_loss_shares") && v.at("step_loss_shares").is_object()) {
-        for (const auto& [name, share] : *v.at("step_loss_shares").object) {
-          if (share.kind == json::Value::Kind::kNumber) {
-            series.step_loss_shares[name] = share.number;
-          }
-        }
+      f.integer("duration_ns", series.duration);
+      f.integer("interval_ns", series.interval, 1);
+      f.integer("step_ns", series.steady.step_time);
+      f.real("steady_mfu", series.steady.mfu);
+      f.real("steady_tokens_per_second", series.steady.tokens_per_second);
+      const json::Value* shares = f.find("step_loss_shares");  // optional
+      if (shares == nullptr) return;
+      json::Fields s = f.object("step_loss_shares");
+      if (!shares->is_object()) return;
+      for (const auto& [name, unused] : *shares->object) {
+        s.real(name, series.step_loss_shares[name]);
       }
     } else if (type == "interval") {
-      LedgerInterval row;
-      row.index = static_cast<int>(v.num("i"));
-      row.begin = static_cast<TimeNs>(v.num("begin_ns"));
-      row.end = static_cast<TimeNs>(v.num("end_ns"));
-      row.effective = static_cast<TimeNs>(v.num("effective_ns"));
-      row.restarts = static_cast<int>(v.num("restarts"));
-      row.goodput_tokens_per_second = v.num("goodput_tokens_per_second");
-      row.mfu = v.num("mfu");
-      row.ettr_cum = v.num("ettr_cum");
-      if (!v.has("lost_ns") || !parse_lost(v.at("lost_ns"), row.lost)) {
-        return false;
-      }
-      series.intervals.push_back(row);
+      // Rows are numbered 0, 1, ... in file order.
+      const auto next = static_cast<std::int64_t>(series.intervals.size());
+      LedgerInterval& r = series.intervals.emplace_back();
+      f.integer("i", r.index, next, next);
+      f.integer("begin_ns", r.begin);
+      f.integer("end_ns", r.end, r.begin);
+      f.integer("effective_ns", r.effective, 0, r.end - r.begin);
+      f.integer("restarts", r.restarts);
+      f.real("goodput_tokens_per_second", r.goodput_tokens_per_second);
+      f.real("mfu", r.mfu);
+      f.real("ettr_cum", r.ettr_cum);
+      read_lost(f.object("lost_ns"), r.lost);
     } else if (type == "summary") {
       saw_summary = true;
-      series.totals.ettr = v.num("ettr");
-      series.totals.goodput_fraction = v.num("goodput_fraction");
-      series.totals.mfu_mean = v.num("mfu_mean");
-      series.totals.restarts = static_cast<int>(v.num("restarts"));
-      series.totals.tokens_total = v.num("tokens_total");
-      if (!v.has("lost_ns") || !parse_lost(v.at("lost_ns"), series.totals.lost)) {
-        return false;
-      }
-      if (!flags::parse_uint(v.text("digest"), series.digest, 16)) {
-        return false;
-      }
+      f.real("ettr", series.totals.ettr);
+      f.real("goodput_fraction", series.totals.goodput_fraction);
+      f.real("mfu_mean", series.totals.mfu_mean);
+      f.integer("restarts", series.totals.restarts);
+      f.real("tokens_total", series.totals.tokens_total);
+      read_lost(f.object("lost_ns"), series.totals.lost);
+      f.hex("digest", series.digest);
     } else {
-      return false;  // unknown record type
+      f.fail("unknown record type \"" + type + "\"");
     }
-  }
-  if (!saw_header || !saw_summary) return false;
+  };
+  if (!json::parse_lines(text, row, error)) return false;
+  if (!saw_header) return json::fail(error, "no ledger header line");
+  if (!saw_summary) return json::fail(error, "no summary line");
   out = std::move(series);
   return true;
 }
@@ -548,8 +536,9 @@ bool load_ledger(const std::string& path, LedgerSeries& series,
     err << "msdiag: cannot read " << path << '\n';
     return false;
   }
-  if (!parse_ledger_jsonl(text, series)) {
-    err << "msdiag: malformed ledger artifact " << path << '\n';
+  std::string problem;
+  if (!parse_ledger_jsonl(text, series, &problem)) {
+    err << "msdiag: " << path << ": " << problem << '\n';
     return false;
   }
   if (series.digest != ledger_digest(series)) {

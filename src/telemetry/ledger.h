@@ -164,9 +164,11 @@ class RunLedger {
 std::uint64_t ledger_digest(const LedgerSeries& series);
 
 /// Serialization: one header line, one line per interval, one summary
-/// line. Parse accepts exactly what to_jsonl emits.
+/// line. Parse accepts exactly what to_jsonl emits; anything else fails
+/// with `*error` naming the line and field (see json::parse_lines).
 std::string to_jsonl(const LedgerSeries& series);
-bool parse_ledger_jsonl(const std::string& text, LedgerSeries& out);
+bool parse_ledger_jsonl(const std::string& text, LedgerSeries& out,
+                        std::string* error = nullptr);
 
 /// Human rendering: summary + lost-by-cause tables and (optionally) the
 /// Figure 11-style goodput/MFU/ETTR chart.

@@ -240,6 +240,27 @@ TEST(CalibIngest, BareEventArrayIsAccepted) {
       << error;
   ASSERT_EQ(result.spans.size(), 1u);
   EXPECT_EQ(result.spans[0].name, "aten::mm");
+  // So is a one-line Chrome trace (it used to be taken for span JSONL).
+  diag::TimelineTrace timeline;
+  timeline.add({0, "fwd", "fwd", 0, 1500, "s=0"});
+  ASSERT_TRUE(calib::ingest_trace(timeline.chrome_trace_json(), result, error))
+      << error;
+  EXPECT_EQ(result.spans.size(), 1u);
+  // Non-finite or out-of-range ts/dur/pid/tid skip the event with a
+  // warning instead of casting it (both used to be kept as spans).
+  ASSERT_TRUE(calib::ingest_trace(
+      R"([{"ph":"X","name":"gemm","pid":1e300,"tid":0,"ts":NaN,"dur":5},
+          {"ph":"X","name":"gemm","pid":0,"tid":0,"ts":1e300,"dur":-1e300}])",
+      result, error))
+      << error;
+  EXPECT_TRUE(result.spans.empty());
+  EXPECT_EQ(result.skipped_events, 2u);
+  ASSERT_EQ(result.warnings.size(), 2u);
+  EXPECT_EQ(result.warnings[0],
+            "event 0: field \"pid\": got 1e+300, expects an integer in [0, "
+            "2147483647], skipped");
+  EXPECT_NE(result.warnings[1].find("event 1: field \"ts\": got 1e+300"),
+            std::string::npos);
 }
 
 TEST(CalibIngest, UnknownFormatIsAnError) {
@@ -530,12 +551,12 @@ TEST(CalibFit, ReportRenderersCoverParametersAndResiduals) {
     if (line.empty()) continue;
     json::Value v;
     ASSERT_TRUE(json::parse(line, v)) << line;
-    const std::string record = v.text("record");
+    const std::string record = v.at("record").str;
     if (record == "calib_params") {
       ++params;
-      EXPECT_NEAR(v.at("ops").num("gemm_efficiency"), kTrueGemm,
+      EXPECT_NEAR(v.at("ops").at("gemm_efficiency").number, kTrueGemm,
                   0.01 * kTrueGemm);
-      EXPECT_EQ(v.text("digest"), std::to_string(report.digest));
+      EXPECT_EQ(v.at("digest").str, std::to_string(report.digest));
     } else {
       EXPECT_EQ(record, "calib_residual");
       ++residuals;
@@ -575,7 +596,7 @@ TEST(CalibReplay, FittedParametersReproduceTheTrace) {
   EXPECT_NE(table.find("step"), std::string::npos);
   json::Value v;
   ASSERT_TRUE(json::parse(calib::replay_jsonl(replay), v));
-  EXPECT_EQ(v.text("record"), "calib_replay");
+  EXPECT_EQ(v.at("record").str, "calib_replay");
 }
 
 TEST(CalibReplay, MisfitParametersAreOutOfTolerance) {
@@ -737,6 +758,18 @@ TEST(CalibrateCli, BadInvocationsExitNonZero) {
   EXPECT_EQ(calib::calibrate_main({deep}, deep_out, deep_err), 1);
   EXPECT_NE(deep_err.str().find("malformed"), std::string::npos)
       << deep_err.str();
+  // A corrupt span JSONL names file, line and field.
+  const std::string bad = temp_path("calib_cli_bad.jsonl");
+  ASSERT_TRUE(diag::write_text_file(
+      bad,
+      "{\"type\":\"span\",\"rank\":0,\"name\":\"fwd\",\"tag\":\"fwd\","
+      "\"start_ns\":0,\"end_ns\":5}\n{\"type\":\"span\",\"rank\":-1}\n"));
+  std::ostringstream bad_out, bad_err;
+  EXPECT_EQ(calib::calibrate_main({bad}, bad_out, bad_err), 1);
+  EXPECT_EQ(bad_err.str(), "msdiag calibrate: " + bad +
+                               ": line 2: field \"rank\": got -1, expects an "
+                               "integer in [0, 2147483647]\n");
+  EXPECT_TRUE(bad_out.str().empty()) << bad_out.str();
 }
 
 TEST(CalibrateCli, DemoWritesASeededStragglerTrace) {

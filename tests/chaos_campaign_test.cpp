@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "chaos/campaign.h"
-#include "support/json.h"
+#include "core/json.h"
 #include "support/tmpdir.h"
 #include "telemetry/exporters.h"
 #include "telemetry/metrics.h"
@@ -85,7 +85,8 @@ TEST(ChaosCampaign, FailingSeedArtifactsLandOnDisk) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  const auto doc = testjson::parse(buf.str());
+  json::Value doc;
+  ASSERT_TRUE(json::parse(buf.str(), doc));
   ASSERT_TRUE(doc.is_object());
   EXPECT_TRUE(doc.at("record").is_object());
   EXPECT_EQ(doc.at("repro").str, result.failures.front().repro);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -388,13 +390,23 @@ TEST(Json, ParseFullValueGrammar) {
   ASSERT_TRUE(json::parse(
       R"({"a":1.5,"b":[true,false,null],"c":{"n":-2e3},"s":"x"})", v));
   ASSERT_TRUE(v.is_object());
-  EXPECT_DOUBLE_EQ(v.num("a"), 1.5);
+  EXPECT_DOUBLE_EQ(v.at("a").number, 1.5);
   ASSERT_EQ(v.at("b").size(), 3u);
   EXPECT_TRUE(v.at("b")[0].boolean);
   EXPECT_EQ(v.at("b")[2].kind, json::Value::Kind::kNull);
-  EXPECT_DOUBLE_EQ(v.at("c").num("n"), -2000.0);
-  EXPECT_EQ(v.text("s"), "x");
-  EXPECT_EQ(v.text("missing", "dflt"), "dflt");
+  EXPECT_DOUBLE_EQ(v.at("c").at("n").number, -2000.0);
+  EXPECT_EQ(v.at("s").str, "x");
+  EXPECT_EQ(v.find("missing"), nullptr);
+  // Integer literals that fit int64 stay exact beside their rounded double.
+  ASSERT_TRUE(json::parse(
+      "[-9223372036854775808, 9007199254740993, 9223372036854775808, 1e3, -0]",
+      v));
+  EXPECT_EQ(v[0].integer, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(v[1].integer, 9007199254740993);  // 2^53 + 1: no double of its own
+  EXPECT_EQ(v[1].number, 9007199254740992.0);
+  EXPECT_FALSE(v[2].integral);  // past int64: a double only
+  EXPECT_FALSE(v[3].integral);  // an exponent is not an integer
+  EXPECT_TRUE(std::signbit(v[4].number));
 }
 
 TEST(Json, ParseRejectsMalformedInput) {
@@ -405,6 +417,18 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_FALSE(json::parse("[1,]", v));
   EXPECT_FALSE(json::parse("\"unterminated", v));
   EXPECT_FALSE(json::parse("{} trailing", v));
+  EXPECT_FALSE(json::parse("1.5e", v));
+  // The error offset is the first byte the parser could not accept.
+  using Offset = std::pair<std::string, std::size_t>;
+  for (const auto& [text, want] : std::vector<Offset>{
+           {R"({"a":1)", 6},     // truncated object: the end of the input
+           {R"({"a":tru})", 8},  // bad literal: the '}' where 'e' belongs
+           {R"({"a" 1})", 5},    // missing ':'
+           {R"([1] x)", 4}}) {   // trailing bytes
+    std::size_t offset = 0;
+    EXPECT_FALSE(json::parse(text, v, &offset)) << text;
+    EXPECT_EQ(offset, want) << text;
+  }
 }
 
 TEST(Json, ParseDecodesUnicodeEscapes) {
@@ -429,6 +453,39 @@ TEST(Json, ParseBoundsNestingDepth) {
                           v));
   EXPECT_FALSE(json::parse(
       std::string(limit + 1, '[') + std::string(limit + 1, ']'), v));
+}
+
+TEST(Json, FieldsNameTheFirstBadField) {
+  json::Value v;
+  ASSERT_TRUE(json::parse(
+      R"({"n":1e300,"u":-1,"x":NaN,"s":5,"o":{"k":"z"},"h":"ff","ok":7})", v));
+  const auto error = [&](const std::function<void(json::Fields&)>& read) {
+    json::Fields f(v);
+    read(f);
+    int later = -1;
+    f.integer("ok", later);  // the first failure sticks
+    return later == -1 ? f.error() : "a later read ran";
+  };
+  int i = 0;
+  std::uint64_t u = 0;
+  double x = 0;
+  std::string s;
+  EXPECT_EQ(error([&](json::Fields& f) { f.integer("n", i); }),
+            R"(field "n": got 1e+300, expects an integer in [0, 2147483647])");
+  EXPECT_EQ(error([&](json::Fields& f) { f.integer("u", u); }),
+            R"(field "u": got -1, expects an integer in [0, )"
+            "9223372036854775807]");
+  EXPECT_EQ(error([&](json::Fields& f) { f.real("x", x); }),
+            R"(field "x": got nan, expects a finite number)");
+  EXPECT_EQ(error([&](json::Fields& f) { f.text("s", s); }),
+            R"(field "s": got 5, expects a string)");
+  EXPECT_EQ(error([&](json::Fields& f) { f.text("gone", s); }),
+            R"(field "gone": missing, expects a string)");
+  EXPECT_EQ(error([&](json::Fields& f) { f.object("o").integer("k", i); }),
+            R"(field "o.k": got "z", expects an integer in [0, 2147483647])");
+  EXPECT_EQ(error([&](json::Fields& f) { f.hex("h", u); }),
+            R"(field "h": got "ff", expects a "0x"-prefixed 64-bit hex )"
+            "string");
 }
 
 // ---------------------------------------------------------------- flags

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/json.h"
@@ -176,10 +178,14 @@ TEST(Blame, RenderAndJsonReports) {
 
   json::Value v;
   ASSERT_TRUE(json::parse(diag::diagnosis_json(d), v));
-  EXPECT_EQ(static_cast<TimeNs>(v.num("makespan_ns")), d.makespan);
+  json::Fields f(v);
+  TimeNs makespan = -1;
+  f.integer("makespan_ns", makespan);
+  EXPECT_TRUE(f.ok()) << f.error();
+  EXPECT_EQ(makespan, d.makespan);
   ASSERT_TRUE(v.has("blame"));
   ASSERT_GT(v.at("blame").size(), 0u);
-  EXPECT_EQ(v.at("blame")[0].text("cause"), "straggler-wait");
+  EXPECT_EQ(v.at("blame")[0].at("cause").str, "straggler-wait");
 }
 
 TEST(Blame, DiffReportLocalizesTheRegression) {
@@ -254,6 +260,34 @@ TEST(FlightRecorder, MalformedDumpIsRejected) {
   EXPECT_FALSE(diag::parse_flight_dump_jsonl("{\"type\":\"flight-event\"}\n",
                                              out));
   EXPECT_FALSE(diag::parse_flight_dump_jsonl("not json\n", out));
+  // Out-of-range, missing and truncated content fails the load, naming the
+  // line and field (node 1e300 used to print as -2147483648).
+  const std::string header =
+      R"({"type":"flight-dump","reason":"r","time_ns":0,"events":1})" "\n";
+  const std::string event = R"({"type":"flight-event","time_ns":5,"node":1,)"
+                            R"("kind":"k","detail":"","seq":1})" "\n";
+  const auto set = [&](const std::string& from, const std::string& to) {
+    return header + event.substr(0, event.find(from)) + to +
+           event.substr(event.find(from) + from.size());
+  };
+  const std::string int64 = "an integer in [0, 9223372036854775807]";
+  std::string error;
+  using Case = std::pair<std::string, std::string>;
+  for (const auto& [text, want] : std::vector<Case>{
+           {set(R"("time_ns":5,"node":1,)", R"("time_ns":1e300,"node":1e300,)"),
+            R"(line 2: field "time_ns": got 1e+300, expects )" + int64},
+           {set("\"node\":1", "\"node\":1e300"),
+            R"(line 2: field "node": got 1e+300, expects an integer in [0, )"
+            "2147483647]"},
+           {set("\"seq\":1", "\"seq\":-1"),
+            R"(line 2: field "seq": got -1, expects )" + int64},
+           {"{\"type\":\"flight-dump\"}\n{\"type\":\"flight-event\"}\n",
+            R"(line 1: field "reason": missing, expects a string)"},
+           {header, "header declares 1 events, read 0"}}) {
+    EXPECT_FALSE(diag::parse_flight_dump_jsonl(text, out, &error)) << text;
+    EXPECT_EQ(error, want);
+  }
+  EXPECT_TRUE(diag::parse_flight_dump_jsonl(header + event, out, &error));
 }
 
 TEST(FlightRecorder, DriverSimDumpsOnDetectedAnomaly) {
@@ -345,7 +379,7 @@ TEST_F(MsdiagTest, AnalyzeReportsSeededStraggler) {
   ASSERT_EQ(run({"analyze", path, "--json"}), 0) << err.str();
   json::Value v;
   ASSERT_TRUE(json::parse(out.str(), v));
-  EXPECT_EQ(v.at("blame")[0].text("cause"), "straggler-wait");
+  EXPECT_EQ(v.at("blame")[0].at("cause").str, "straggler-wait");
 }
 
 TEST_F(MsdiagTest, DiffExportAndFlightCommands) {
@@ -406,6 +440,38 @@ TEST_F(MsdiagTest, BadInvocationsFailWithUsage) {
   ASSERT_TRUE(diag::write_text_file(deep, std::string(1'000'000, '[')));
   EXPECT_EQ(run({"analyze", deep}), 1);
   EXPECT_NE(err.str().find("malformed"), std::string::npos) << err.str();
+  // A corrupt artifact names file, line and field (or byte), and exits 1
+  // before printing anything (these used to diagnose "no blame", exit 0).
+  const std::string bad = temp_path("msdiag_bad.jsonl");
+  const std::vector<std::tuple<std::string, std::string, std::string>> cases =
+      {
+          {"analyze", "{\"type\":\"span\"}\n",
+           ": line 1: field \"rank\": missing, expects an integer in [0, "
+           "2147483647]\n"},
+          {"analyze",
+           "{\"type\":\"span\",\"rank\":1e300,\"name\":\"fwd\","
+           "\"start_ns\":NaN,\"end_ns\":-5}\n",
+           ": line 1: field \"rank\": got 1e+300, expects an integer in [0, "
+           "2147483647]\n"},
+          {"analyze",
+           "{\"type\":\"span\",\"rank\":0,\"name\":\"fwd\",\"tag\":\"fwd\","
+           "\"start_ns\":10,\"end_ns\":5}\n",
+           ": line 1: field \"end_ns\": got 5, expects an integer in [10, "
+           "9223372036854775807]\n"},
+          {"diff", "{\"type\":\"span\",\n",
+           ": line 1, byte 15: malformed JSON\n"},
+          {"flight",
+           R"({"type":"flight-dump"})" "\n" R"({"type":"flight-event"})",
+           ": line 1: field \"reason\": missing, expects a string\n"},
+      };
+  for (const auto& [cmd, text, want] : cases) {
+    ASSERT_TRUE(diag::write_text_file(bad, text));
+    std::vector<std::string> args = {cmd, bad};
+    if (cmd == "diff") args.push_back(bad);
+    EXPECT_EQ(run(args), 1) << text;
+    EXPECT_EQ(err.str(), "msdiag: " + bad + want);
+    EXPECT_TRUE(out.str().empty()) << out.str();
+  }
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 
 #include <thread>
 
+#include "core/json.h"
 #include "diag/heatmap.h"
 #include "diag/stream.h"
 #include "diag/timeline.h"
 #include "diag/viz3d.h"
-#include "support/json.h"
 
 namespace ms::diag {
 namespace {
@@ -159,7 +159,8 @@ TEST(Timeline, ChromeTraceEscapesNamesAndKeepsSubMicrosecondSpans) {
   TimelineTrace trace;
   trace.add({.rank = 0, .name = "fwd \"q\"\\n", .tag = "a\tb",
              .start = 0, .end = 500, .detail = "s=0 c=1\nnote=\"x\""});
-  const auto v = testjson::parse(trace.chrome_trace_json());
+  json::Value v;
+  ASSERT_TRUE(json::parse(trace.chrome_trace_json(), v));
   const auto& ev = v.at("traceEvents")[0];
   EXPECT_EQ(ev.at("name").str, "fwd \"q\"\\n");
   EXPECT_EQ(ev.at("cat").str, "a\tb");
@@ -185,7 +186,8 @@ TEST(Timeline, ChromeTraceJsonParses) {
              .start = microseconds(10.0), .end = microseconds(30.0)});
   trace.add({.rank = 1, .name = "bwd-0", .tag = "bwd",
              .start = microseconds(30.0), .end = microseconds(70.0)});
-  const auto v = testjson::parse(trace.chrome_trace_json());
+  json::Value v;
+  ASSERT_TRUE(json::parse(trace.chrome_trace_json(), v));
   ASSERT_TRUE(v.is_object());
   const auto& events = v.at("traceEvents");
   ASSERT_TRUE(events.is_array());
@@ -208,7 +210,8 @@ TEST(Timeline, ChromeTraceRoundTripsCountAndOrder) {
                .start = i * microseconds(5.0),
                .end = i * microseconds(5.0) + microseconds(3.0)});
   }
-  const auto v = testjson::parse(trace.chrome_trace_json());
+  json::Value v;
+  ASSERT_TRUE(json::parse(trace.chrome_trace_json(), v));
   const auto& events = v.at("traceEvents");
   ASSERT_EQ(events.size(), static_cast<std::size_t>(kSpans));
   for (int i = 0; i < kSpans; ++i) {
@@ -221,7 +224,8 @@ TEST(Timeline, ChromeTraceRoundTripsCountAndOrder) {
 
 TEST(Timeline, ChromeTraceEmptyTraceIsValidJson) {
   TimelineTrace trace;
-  const auto v = testjson::parse(trace.chrome_trace_json());
+  json::Value v;
+  ASSERT_TRUE(json::parse(trace.chrome_trace_json(), v));
   EXPECT_EQ(v.at("traceEvents").size(), 0u);
 }
 

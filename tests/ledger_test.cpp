@@ -4,6 +4,7 @@
 // digest deterministically, and the JSONL round trip must be lossless.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -256,6 +257,36 @@ TEST_F(LedgerCliTest, MissingFileFails) {
   std::ostringstream out, err;
   EXPECT_NE(ledger_main({path_ + ".does-not-exist"}, out, err), 0);
   EXPECT_FALSE(err.str().empty());
+  // A corrupt ledger fails its load, naming line and field, instead of
+  // rendering behind a digest warning or as ETTR 0% over 0 intervals.
+  const std::string text = to_jsonl(run_and_ingest(0x51).series);
+  const std::string header = text.substr(0, text.find('\n') + 1);
+  std::string nan_row = text;
+  nan_row.replace(nan_row.find("\"i\":0,"), 6, "\"i\":NaN,");
+  const std::size_t restarts = nan_row.find("\"restarts\":");
+  nan_row.replace(restarts, nan_row.find(',', restarts) - restarts,
+                  "\"restarts\":1e300");
+  char digest[24];
+  std::snprintf(digest, sizeof(digest), "0x%016" PRIx64, digest_);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {nan_row,
+       ": line 2: field \"i\": got nan, expects an integer in [0, 0]\n"},
+      {header + "{\"type\":\"summary\",\"lost_ns\":{},\"digest\":\"" +
+           digest + "\"}\n",
+       ": line 2: field \"ettr\": missing, expects a finite number\n"},
+  };
+  const std::string bad = path_ + ".bad";
+  for (const auto& [corrupt, want] : cases) {
+    {
+      std::ofstream file(bad);
+      file << corrupt;
+    }
+    std::ostringstream bad_out, bad_err;
+    EXPECT_EQ(ledger_main({bad, "--no-chart"}, bad_out, bad_err), 1);
+    EXPECT_EQ(bad_err.str(), "msdiag: " + bad + want);
+    EXPECT_TRUE(bad_out.str().empty()) << bad_out.str();
+  }
+  std::remove(bad.c_str());
 }
 
 TEST_F(LedgerCliTest, UsageOnNoArgs) {

@@ -282,6 +282,15 @@ TEST(ProfileReportTest, JsonlRoundTrips) {
   EXPECT_EQ(parsed.scopes[0].total_ns, 600'000u);
   EXPECT_DOUBLE_EQ(parsed.scopes[0].p99_ns, 88'000.0);
   EXPECT_EQ(parsed.digest(), r.digest());
+
+  // Quantiles keep every bit (6 significant digits used to turn
+  // 4831838123.4 ns into 4.83184e+09).
+  auto precise = r;
+  precise.scopes[0].p50_ns = 4'831'838'123.4;
+  precise.scopes[0].p99_ns = 1.0 / 3.0;
+  ASSERT_TRUE(parse_jsonl(precise.to_jsonl(), parsed, &error)) << error;
+  EXPECT_EQ(parsed.scopes[0].p50_ns, precise.scopes[0].p50_ns);
+  EXPECT_EQ(parsed.scopes[0].p99_ns, precise.scopes[0].p99_ns);
 }
 
 TEST(ProfileReportTest, ParseRejectsMalformedInput) {
@@ -291,8 +300,37 @@ TEST(ProfileReportTest, ParseRejectsMalformedInput) {
                            &error));
   EXPECT_NE(error.find("header"), std::string::npos);
   EXPECT_FALSE(parse_jsonl("not json\n", out, &error));
+  EXPECT_EQ(error, "line 1, byte 1: malformed JSON");  // "no" is not null
   EXPECT_FALSE(
       parse_jsonl("{\"kind\":\"mystery\"}\n", out, &error));
+  // Negative, NaN and missing numbers fail the load, naming line and field,
+  // instead of wrapping to 2^64 - 1 or reading as 0.
+  const std::string header =
+      R"({"kind":"profile","workload":"w","wall_ns":1,"events":2,"allocs":0})";
+  const std::string scope = R"({"kind":"scope","name":"s","count":3,)"
+                            R"("total_ns":0,"self_ns":0,"min_ns":0,"max_ns":0,)"
+                            R"("p50_ns":0,"p99_ns":0})";
+  const auto swap = [](std::string text, const std::string& from,
+                       const std::string& to) {
+    return text.replace(text.find(from), from.size(), to);
+  };
+  const std::string kRange = ", expects an integer in [0, 9223372036854775807]";
+  using Case = std::pair<std::string, std::string>;
+  for (const auto& [text, want] : std::vector<Case>{
+           {swap(swap(header, "\"wall_ns\":1", "\"wall_ns\":-1"),
+                 "\"events\":2", "\"events\":NaN") + "\n" + scope,
+            R"(line 1: field "wall_ns": got -1)" + kRange},
+           {swap(header, "\"events\":2", "\"events\":NaN") + "\n" + scope,
+            R"(line 1: field "events": got nan)" + kRange},
+           {header + "\n" + swap(scope, "\"count\":3", "\"count\":-3"),
+            R"(line 2: field "count": got -3)" + kRange},
+           {"{\"kind\":\"profile\"}\n{\"kind\":\"scope\"}\n",
+            R"(line 1: field "workload": missing, expects a string)"},
+           {"[1]\n", "line 1: got an array, expects an object"}}) {
+    EXPECT_FALSE(parse_jsonl(text, out, &error)) << text;
+    EXPECT_EQ(error, want);
+  }
+  EXPECT_TRUE(parse_jsonl(header + "\n" + scope, out, &error)) << error;
 }
 
 TEST(ProfileReportTest, RenderShowsRankedScopes) {
@@ -328,6 +366,12 @@ TEST_F(ProfTest, ChromeTraceContainsSpans) {
   EXPECT_NE(json.find("\"test.span\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\":3"), std::string::npos);
   EXPECT_NE(json.find("sim-thread-"), std::string::npos);
+  // 4.2 s after the first span ts keeps nanoseconds (6 significant digits
+  // used to round it to 10 us steps while the spans last 0.15 us).
+  const auto far =
+      to_chrome_trace({{id, 1'000, 150, 0}, {id, 4'200'001'007, 150, 0}});
+  EXPECT_NE(far.find("\"ts\":4200000.007,\"dur\":0.150"), std::string::npos)
+      << far;
 }
 
 TEST_F(ProfTest, CaptureRanksBySelfTime) {
@@ -345,6 +389,13 @@ TEST_F(ProfTest, CaptureRanksBySelfTime) {
   ASSERT_GE(report.scopes.size(), 2u);
   EXPECT_EQ(report.scopes.front().name, "test.costly");
   EXPECT_EQ(report.workload, "capture_unit");
+  // A one-sample scope's quantiles are its sample (log2-bucket midpoints
+  // used to land above the scope's own max).
+  for (const ScopeStats& s : report.scopes) {
+    if (s.count != 1) continue;
+    EXPECT_EQ(s.p50_ns, static_cast<double>(s.max_ns)) << s.name;
+    EXPECT_EQ(s.p99_ns, static_cast<double>(s.min_ns)) << s.name;
+  }
 }
 
 // ------------------------------------------------------ telemetry bridge
@@ -516,6 +567,13 @@ TEST_F(ProfTest, CliRejectsBadInputs) {
   write_text(bad, "definitely not json\n");
   EXPECT_EQ(run_cli({"report", bad}, &text), 1);
   EXPECT_EQ(run_cli({"diff", bad}, &text), 1);
+  write_text(bad, "{\"kind\":\"profile\"}\n{\"kind\":\"scope\"}\n");
+  std::ostringstream bad_out, bad_err;
+  EXPECT_EQ(msprof_main({"report", bad}, bad_out, bad_err), 1);
+  EXPECT_EQ(bad_err.str(), "msprof: " + bad +
+                               ": line 1: field \"workload\": missing, "
+                               "expects a string\n");
+  EXPECT_TRUE(bad_out.str().empty()) << bad_out.str();
   EXPECT_EQ(run_cli({"overhead", "--workload", "no_such"}, &text), 1);
   // Malformed arguments fail before any workload runs or file is read,
   // naming position and flag (`--budget x` used to read as budget 0).

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/json.h"
 #include "data/pipeline.h"
 #include "engine/job.h"
 #include "ft/workflow.h"
@@ -17,7 +18,6 @@
 #include "telemetry/exporters.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
-#include "support/json.h"
 
 namespace ms::telemetry {
 namespace {
@@ -235,7 +235,8 @@ TEST(Exporters, JsonlEveryLineParses) {
     pos = eol + 1;
     if (line.empty()) continue;
     ++lines;
-    const auto v = testjson::parse(line);
+    json::Value v;
+    ASSERT_TRUE(json::parse(line, v));
     ASSERT_TRUE(v.is_object()) << line;
     types.insert(v.at("type").str);
   }
@@ -248,7 +249,8 @@ TEST(Exporters, ChromeTraceParsesAndMatchesSpans) {
   Tracer tracer;
   tracer.record(0, "fwd-1", "fwd", microseconds(1.0), microseconds(3.0));
   tracer.record(1, "bwd-1", "bwd", microseconds(3.0), microseconds(7.0));
-  const auto v = testjson::parse(chrome_trace(tracer));
+  json::Value v;
+  ASSERT_TRUE(json::parse(chrome_trace(tracer), v));
   ASSERT_TRUE(v.is_object());
   const auto& events = v.at("traceEvents");
   ASSERT_TRUE(events.is_array());

@@ -8,7 +8,6 @@
 
 #include "bench/common.h"
 #include "core/table.h"
-#include "net/ccsim.h"
 #include "net/ccsim_multi.h"
 #include "net/ecmp.h"
 #include "net/flap.h"
@@ -94,8 +93,7 @@ void cc_section(ms::bench::BenchReport& br) {
   Table t({"senders", "algorithm", "utilization", "mean queue", "p99 queue",
            "PFC pause", "pause events", "fairness"});
   for (int senders : {16, 32, 64}) {
-    CcSimParams p;
-    p.senders = senders;
+    MultiCcParams p = incast_params(senders);
     p.duration_s = 0.03;
     struct Algo {
       const char* name;
@@ -107,18 +105,19 @@ void cc_section(ms::bench::BenchReport& br) {
         {"MegaScaleCC", [] { return std::make_unique<MegaScaleCc>(); }},
     };
     for (const auto& algo : algos) {
-      auto r = run_cc_sim(p, algo.make);
+      const auto r = run_multi_cc_sim(p, algo.make);
       if (senders == 64) {
-        br.metric(std::string("cc64_util_") + algo.name, r.utilization, 0.03);
+        br.metric(std::string("cc64_util_") + algo.name, r.hop_utilization[0],
+                  0.03);
         br.metric(std::string("cc64_pfc_pause_") + algo.name,
-                  r.pfc_pause_fraction, 0.25);
+                  r.hop_pause_fraction[0], 0.25);
       }
       t.add_row({Table::fmt_int(senders), algo.name,
-                 Table::fmt_pct(r.utilization),
-                 Table::fmt(r.mean_queue_bytes / 1e3, 0) + " KB",
-                 Table::fmt(r.p99_queue_bytes / 1e3, 0) + " KB",
-                 Table::fmt_pct(r.pfc_pause_fraction, 2),
-                 Table::fmt_int(r.pfc_pause_events),
+                 Table::fmt_pct(r.hop_utilization[0]),
+                 Table::fmt(r.hop_mean_queue[0] / 1e3, 0) + " KB",
+                 Table::fmt(r.hop_p99_queue[0] / 1e3, 0) + " KB",
+                 Table::fmt_pct(r.hop_pause_fraction[0], 2),
+                 Table::fmt_int(r.hop_pause_events[0]),
                  Table::fmt(r.fairness, 3)});
     }
     t.add_separator();

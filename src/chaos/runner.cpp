@@ -12,7 +12,6 @@
 #include "diag/flight_recorder.h"
 #include "engine/job.h"
 #include "ft/driver_sim.h"
-#include "net/ccsim.h"
 #include "net/ccsim_multi.h"
 #include "net/ecmp.h"
 #include "net/fabric/detectors.h"
@@ -61,18 +60,20 @@ net::ClosParams chaos_fabric() {
   return p;
 }
 
-/// PFC storm: incast pressure scaled by intensity in (0, 1]. Runs DCQCN —
-/// the controller the paper shows letting queues reach the PFC threshold.
-net::CcSimResult run_storm(double intensity) {
-  net::CcSimParams params;
-  params.senders = 8 + static_cast<int>(24.0 * intensity);
+/// PFC storm: one-hop incast pressure scaled by intensity in (0, 1]. Runs
+/// DCQCN — the controller the paper shows letting queues reach the PFC
+/// threshold. Returns the fraction of time the senders were paused.
+double run_storm(double intensity) {
+  net::MultiCcParams params =
+      net::incast_params(8 + static_cast<int>(24.0 * intensity));
   params.duration_s = 0.02;
   // Harder storms get shallower PFC headroom (the §3.6 observation: deep
   // queues under incast push right up against the pause threshold).
   params.pfc_pause *= (1.0 - 0.5 * intensity);
   params.pfc_resume = params.pfc_pause * 0.8;
-  return net::run_cc_sim(params,
-                         [] { return std::make_unique<net::Dcqcn>(); });
+  return net::run_multi_cc_sim(
+             params, [] { return std::make_unique<net::Dcqcn>(); })
+      .hop_pause_fraction[0];
 }
 
 struct DriverFaultPlan {
@@ -229,10 +230,10 @@ OutcomeRecord run_schedule(const ChaosConfig& cfg,
         break;
       case FaultKind::kPfcStorm: {
         const double intensity = std::clamp(fault.magnitude, 0.05, 1.0);
-        const auto storm = run_storm(intensity);
+        const double storm_pause = run_storm(intensity);
         record.pfc_pause_fraction =
-            std::max(record.pfc_pause_fraction, storm.pfc_pause_fraction);
-        const double pause = std::min(storm.pfc_pause_fraction, 0.9);
+            std::max(record.pfc_pause_fraction, storm_pause);
+        const double pause = std::min(storm_pause, 0.9);
         comm_factor = std::max(comm_factor, 1.0 / (1.0 - pause));
         if (cfg.fabric_localization) {
           const auto verdict = localize_storm(intensity, cfg.flight);

@@ -7,7 +7,7 @@
 //     evict/replenish/restore, finite spare pool;
 //   * link flaps run through net::simulate_transfer_with_flaps against the
 //     configured retransmission policy (stall, or NCCL abort -> restart);
-//   * PFC storms run the ccsim fluid model; ECMP rehashes run the real
+//   * PFC storms run the fluid PFC chain; ECMP rehashes run the real
 //     router over a Clos fabric; stragglers use the §5.1 population model;
 //   * the healthy step time comes from engine::simulate_iteration on a
 //     reference training job (parallel + collective + model cost stack).

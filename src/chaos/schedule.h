@@ -23,7 +23,7 @@ enum class FaultKind {
   kStraggler,   ///< silent compute slowdown on one machine (engine/perturb)
   kLinkFlap,    ///< NIC link down/up episode (net/flap)
   kCkptStall,   ///< checkpoint writer falls behind; training blocks (§4.4)
-  kPfcStorm,    ///< incast pressure driving ECN marks / PFC pauses (ccsim)
+  kPfcStorm,    ///< incast driving ECN marks / PFC pauses (net/ccsim_multi)
   kEcmpRehash,  ///< path rehash: every flow label re-drawn (net/ecmp)
 };
 

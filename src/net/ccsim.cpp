@@ -1,16 +1,6 @@
 #include "net/ccsim.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <string>
-
-#include "check/audit.h"
-#include "prof/profiler.h"
-#include "core/rng.h"
-#include "core/stats.h"
-#include "net/fabric/observatory.h"
-#include "telemetry/metrics.h"
 
 namespace ms::net {
 
@@ -88,197 +78,6 @@ double MegaScaleCc::on_feedback(double current_rate, const CcFeedback& fb) {
     rate = current_rate + (0.002 + 0.008 * headroom) * fb.line_rate;
   }
   return std::clamp(rate, kMinRateFraction * fb.line_rate, fb.line_rate);
-}
-
-// ------------------------------------------------------------- simulator
-
-CcSimResult run_cc_sim(
-    const CcSimParams& params,
-    const std::function<std::unique_ptr<CcAlgorithm>()>& make_algorithm) {
-  MS_PROF_SCOPE("ccsim.run");
-  assert(params.senders > 0);
-  const int n = params.senders;
-  const double dt = params.step_s;
-  const int steps = static_cast<int>(params.duration_s / dt);
-  const int rtt_steps_base =
-      std::max(1, static_cast<int>(params.base_rtt_s / dt));
-
-  std::vector<std::unique_ptr<CcAlgorithm>> algos;
-  std::vector<double> rate(static_cast<std::size_t>(n));
-  std::vector<double> sent(static_cast<std::size_t>(n), 0.0);
-  for (int i = 0; i < n; ++i) {
-    algos.push_back(make_algorithm());
-    rate[static_cast<std::size_t>(i)] =
-        algos.back()->initial_rate(params.line_rate);
-  }
-
-  Rng rng(0xCC51u + static_cast<std::uint64_t>(n));
-  double queue = 0;
-  bool paused = false;
-  int pause_events = 0;
-  double pause_time = 0;
-  double served_total = 0;
-  long ecn_marks = 0;
-  RunningStat queue_stat;
-  Percentiles queue_pct;
-
-  const std::string algo_name = algos.front()->name();
-  const telemetry::Labels algo_labels{{"algo", algo_name}};
-  telemetry::Histogram* queue_hist_metric =
-      params.metrics
-          ? &params.metrics->histogram("ccsim_queue_bytes", algo_labels)
-          : nullptr;
-
-  // History of queue depth for delayed feedback.
-  std::vector<double> queue_hist(static_cast<std::size_t>(steps) + 1, 0.0);
-
-  // Fabric observatory hook (strictly passive: reads sim state, feeds
-  // nothing back, so results are identical with or without it).
-  fabric::FabricObservatory* obs = params.observatory;
-  const int obs_link =
-      obs != nullptr ? obs->add_link(params.observatory_link,
-                                     params.bottleneck_rate)
-                     : -1;
-
-  for (int step = 0; step < steps; ++step) {
-    // --- data plane ---
-    double arrivals = 0;
-    if (!paused) {
-      for (int i = 0; i < n; ++i) {
-        const double bytes = rate[static_cast<std::size_t>(i)] * dt;
-        arrivals += bytes;
-        sent[static_cast<std::size_t>(i)] += bytes;
-      }
-    } else {
-      pause_time += dt;
-    }
-    const double service = params.bottleneck_rate * dt;
-    const double available = queue + arrivals;
-    const double served = std::min(available, service);
-    served_total += served;
-    queue = available - served;
-
-    MS_AUDIT("net.ccsim", "queue_nonnegative", queue >= 0.0,
-             "egress queue at " + std::to_string(queue) + " bytes in step " +
-                 std::to_string(step));
-    MS_AUDIT("net.ccsim", "byte_conservation",
-             served <= available * (1.0 + 1e-9) + 1e-6,
-             "served " + std::to_string(served) + " bytes with only " +
-                 std::to_string(available) + " available");
-
-    queue_stat.add(queue);
-    queue_pct.add(queue);
-    if (queue_hist_metric != nullptr) queue_hist_metric->observe(queue);
-    queue_hist[static_cast<std::size_t>(step) + 1] = queue;
-
-    if (obs != nullptr) {
-      const TimeNs now = seconds(static_cast<double>(step) * dt);
-      obs->record_tx(obs_link, now, served);
-      obs->record_queue(obs_link, now, queue);
-      obs->record_active_flows(obs_link, now, paused ? 0 : n);
-      if (paused) obs->record_pause(obs_link, now, seconds(dt));
-    }
-
-    // --- PFC state machine ---
-    if (!paused && queue > params.pfc_pause) {
-      paused = true;
-      ++pause_events;
-      if (obs != nullptr) {
-        obs->record_pause(obs_link,
-                          seconds(static_cast<double>(step) * dt), 0, 1);
-      }
-    } else if (paused && queue < params.pfc_resume) {
-      paused = false;
-    }
-    // Bounded PFC state: the pause latch only holds above the resume mark.
-    MS_AUDIT("net.ccsim", "pfc_state_bounded", !paused || queue >= params.pfc_resume,
-             "paused with queue at " + std::to_string(queue) +
-                 " bytes, below resume threshold " +
-                 std::to_string(params.pfc_resume));
-
-    // --- control plane: per-RTT feedback, staggered across senders ---
-    // Each sender receives one ACK batch per base RTT, reflecting the queue
-    // one RTT ago (the feedback delay). While PFC has the fabric paused
-    // there is no ACK clock, so no feedback is processed.
-    if (!paused) {
-      const int fb_step = std::max(0, step - rtt_steps_base);
-      const double fb_queue = queue_hist[static_cast<std::size_t>(fb_step)];
-      const double rtt = params.base_rtt_s + fb_queue / params.bottleneck_rate;
-      // Per-packet RED marking probability at that queue depth.
-      double mark_p = 0;
-      if (fb_queue > params.ecn_kmax) {
-        mark_p = 1.0;
-      } else if (fb_queue > params.ecn_kmin) {
-        mark_p = params.ecn_pmax * (fb_queue - params.ecn_kmin) /
-                 (params.ecn_kmax - params.ecn_kmin);
-      }
-      MS_AUDIT("net.ccsim", "ecn_mark_probability_bounded",
-               mark_p >= 0.0 && mark_p <= 1.0,
-               "RED mark probability " + std::to_string(mark_p) +
-                   " outside [0,1] at queue depth " + std::to_string(fb_queue));
-      for (int i = 0; i < n; ++i) {
-        if ((step + i) % rtt_steps_base != 0) continue;  // staggered phases
-        const double r = rate[static_cast<std::size_t>(i)];
-        // Probability that at least one packet of this sender's last RTT
-        // worth of traffic was marked.
-        constexpr double kMtu = 4096.0;
-        const double packets = std::max(1.0, r * params.base_rtt_s / kMtu);
-        const double p_any =
-            mark_p >= 1.0 ? 1.0 : 1.0 - std::pow(1.0 - mark_p, packets);
-        CcFeedback fb;
-        fb.rtt_s = rtt;
-        fb.ecn = rng.chance(p_any);
-        if (fb.ecn) {
-          ++ecn_marks;
-          if (obs != nullptr) {
-            obs->record_ecn(obs_link,
-                            seconds(static_cast<double>(step) * dt), 1.0);
-          }
-        }
-        fb.line_rate = params.line_rate;
-        fb.dt = params.base_rtt_s;
-        const double new_rate =
-            algos[static_cast<std::size_t>(i)]->on_feedback(r, fb);
-        MS_AUDIT("net.ccsim", "rate_within_line_rate",
-                 new_rate >= 0.0 && new_rate <= params.line_rate * (1.0 + 1e-9),
-                 algo_name + " sender " + std::to_string(i) + " set rate " +
-                     std::to_string(new_rate) + " B/s (line rate " +
-                     std::to_string(params.line_rate) + ")");
-        rate[static_cast<std::size_t>(i)] = new_rate;
-      }
-    }
-  }
-
-  CcSimResult result;
-  result.algorithm = algo_name;
-  result.utilization =
-      served_total / (params.bottleneck_rate * params.duration_s);
-  result.mean_queue_bytes = queue_stat.mean();
-  result.p99_queue_bytes = queue_pct.p99();
-  result.pfc_pause_fraction = pause_time / params.duration_s;
-  result.pfc_pause_events = pause_events;
-
-  if (params.metrics != nullptr) {
-    auto& m = *params.metrics;
-    m.counter("ccsim_ecn_marks_total", algo_labels)
-        .add(static_cast<double>(ecn_marks));
-    m.counter("ccsim_pfc_pause_events_total", algo_labels)
-        .add(static_cast<double>(pause_events));
-    m.gauge("ccsim_pfc_pause_fraction", algo_labels)
-        .set(result.pfc_pause_fraction);
-    m.gauge("ccsim_queue_depth_bytes", algo_labels).set(queue);
-    m.gauge("ccsim_utilization", algo_labels).set(result.utilization);
-  }
-
-  // Jain fairness over per-sender sent bytes.
-  double sum = 0, sum_sq = 0;
-  for (double s : sent) {
-    sum += s;
-    sum_sq += s * s;
-  }
-  result.fairness =
-      sum_sq > 0 ? (sum * sum) / (static_cast<double>(n) * sum_sq) : 1.0;
-  return result;
 }
 
 }  // namespace ms::net

@@ -1,37 +1,18 @@
-// Congestion-control simulator (MegaScale §3.6 "Congestion control").
+// Congestion controllers (MegaScale §3.6 "Congestion control").
 //
 // The paper observes that default DCQCN under all-to-all traffic drives
 // deep switch queues, triggers Priority Flow Control (PFC) pauses and
 // head-of-line blocking; they deploy a hybrid algorithm combining Swift's
 // precise RTT measurement with DCQCN's fast ECN response.
 //
-// We reproduce the mechanism with a time-stepped fluid model of an incast
-// bottleneck: N senders share one switch egress queue. Per step the queue
-// integrates arrivals minus service; ECN marks with a RED-style ramp; PFC
-// pauses *all* senders (that is the HoL collateral damage) when the queue
-// crosses the pause threshold. Each sender runs a pluggable congestion
-// controller fed with delayed (RTT, ECN) feedback.
+// This header holds the per-sender controllers only: DCQCN, Swift and the
+// hybrid, each fed delayed (RTT, ECN) feedback. The fluid PFC chain that
+// drives them (one bottleneck is its one-hop case) is in ccsim_multi.h.
 #pragma once
 // ms-lint: allow-file(raw-seconds): the fluid model integrates rate * dt in
 // double seconds by design; TimeNs applies at event-scheduling boundaries.
-// ms-lint: allow-file(unit-literal): parameter defaults are physical values
-// (bytes/s, bytes, seconds), not unit-conversion factors.
 
-#include <functional>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "core/time.h"
-#include "core/units.h"
-
-namespace ms::telemetry {
-class MetricsRegistry;
-}  // namespace ms::telemetry
-
-namespace ms::net::fabric {
-class FabricObservatory;
-}  // namespace ms::net::fabric
 
 namespace ms::net {
 
@@ -95,48 +76,5 @@ class MegaScaleCc : public CcAlgorithm {
   double target_delay_s_;
   double ecn_ewma_ = 1.0;  // assume congestion until told otherwise
 };
-
-struct CcSimParams {
-  int senders = 16;
-  double line_rate = 25e9;           // bytes/s (200 Gb/s NIC)
-  double bottleneck_rate = 50e9;     // bytes/s (shared egress)
-  double base_rtt_s = 8e-6;
-  double step_s = 2e-6;
-  double duration_s = 0.05;
-  // RED-style ECN marking thresholds (bytes of queue). Defaults mirror a
-  // shallow-headroom production DCQCN config: marking starts late and caps
-  // at 10%, which is exactly the regime where DCQCN lets the queue reach
-  // the PFC threshold under heavy incast (the paper's observation).
-  double ecn_kmin = 400e3;
-  double ecn_kmax = 1600e3;
-  double ecn_pmax = 0.1;
-  // PFC pause/resume thresholds (bytes of queue).
-  double pfc_pause = 2000e3;
-  double pfc_resume = 1600e3;
-  /// Optional telemetry (not owned): queue-depth histogram, ECN-mark and
-  /// PFC-pause counters, utilization/pause-fraction gauges — all labeled
-  /// {algo=<controller>}.
-  telemetry::MetricsRegistry* metrics = nullptr;
-  /// Optional fabric observatory (not owned, strictly passive): the shared
-  /// egress registers under `observatory_link` and every step's queue
-  /// depth, served bytes, ECN marks and PFC pause time feed its series.
-  fabric::FabricObservatory* observatory = nullptr;
-  std::string observatory_link = "incast-egress";
-};
-
-struct CcSimResult {
-  std::string algorithm;
-  double utilization = 0;        // delivered / (bottleneck * duration)
-  double mean_queue_bytes = 0;
-  double p99_queue_bytes = 0;
-  double pfc_pause_fraction = 0; // fraction of time senders were paused
-  int pfc_pause_events = 0;
-  double fairness = 0;           // Jain index over per-sender delivered bytes
-};
-
-/// Runs the incast scenario with one controller instance per sender.
-/// `make_algorithm` is invoked once per sender.
-CcSimResult run_cc_sim(const CcSimParams& params,
-                       const std::function<std::unique_ptr<CcAlgorithm>()>& make_algorithm);
 
 }  // namespace ms::net

@@ -1,23 +1,33 @@
-// Multi-hop congestion-control simulation: PFC cascades and head-of-line
-// victims (MegaScale §3.6).
+// Fluid PFC chain (MegaScale §3.6): congestion control, PFC cascades and
+// head-of-line victims in one time-stepped fluid model of a "parking lot"
+// of switch queues. Flow f injects at `first_hop` and crosses hops
+// [first_hop, last_hop]. Each step every queue integrates arrivals minus
+// service and passes the flows crossing it their FIFO share of what it
+// served; ECN marks on a RED ramp; each flow's controller (ccsim.h) hears
+// delayed (RTT, ECN) feedback. One incast bottleneck is the one-hop case.
 //
-// The single-bottleneck model in ccsim.h shows queue depth and pause time;
-// what it cannot show is WHY PFC is so damaging in a fabric: a pause frame
-// stops the upstream port's entire egress, so flows that never touch the
-// congested queue stall behind the ones that do. This "parking lot" model
-// chains queues: flow f traverses hops [first_hop, last_hop]; when queue i
-// crosses its PFC threshold it pauses queue i-1's egress (and the senders
-// injecting at hop i); a paused queue serves nobody — including innocent
-// flows that exit before the congestion point.
+// The PFC rule, the same at every hop: a hop latches XOFF when its queue
+// rises strictly above `pfc_pause` and releases it when the queue falls
+// strictly below `pfc_resume`. XOFF at hop h > 0 stops hop h-1's egress,
+// so a paused queue serves nobody, including innocent flows that exit
+// before the congestion point. XOFF at hop 0 stops the senders injecting
+// at hop 0, and a stopped sender hears no feedback (no ACK clock). Flows
+// that join at a later hop are cross traffic from outside the chain and
+// are never stopped.
 #pragma once
 // ms-lint: allow-file(raw-seconds): fluid model in double seconds, see
 // ccsim.h.
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/ccsim.h"
+
+namespace ms::net::fabric {
+class FabricObservatory;
+}  // namespace ms::net::fabric
 
 namespace ms::net {
 
@@ -40,9 +50,12 @@ struct MultiCcParams {
   double base_rtt_s = 8e-6;
   double step_s = 2e-6;
   double duration_s = 0.03;
+  // RED ECN ramp (bytes of queue): late marking capped at 10%, the DCQCN
+  // regime in which incast reaches the PFC threshold (the paper's finding).
   double ecn_kmin = 400e3;
   double ecn_kmax = 1600e3;
   double ecn_pmax = 0.1;
+  // PFC XOFF/XON thresholds (bytes of queue), the same at every hop.
   double pfc_pause = 2000e3;
   double pfc_resume = 1600e3;
   std::vector<MultiHopFlow> flows;
@@ -57,18 +70,33 @@ struct MultiCcParams {
 struct MultiCcResult {
   /// Delivered bytes / (line_rate * duration) per flow.
   std::vector<double> flow_goodput_frac;
-  /// Fraction of time each hop's egress was paused by downstream PFC.
-  std::vector<double> hop_pause_fraction;
-  /// Pause events observed at each hop.
-  std::vector<int> hop_pause_events;
-  /// Max queue depth per hop (bytes).
+  /// Jain index over per-flow offered bytes.
+  double fairness = 0;
+  /// Served bytes / (capacity * duration) per hop.
+  std::vector<double> hop_utilization;
+  /// Mean, p99 and max queue depth per hop (bytes), over every step.
+  std::vector<double> hop_mean_queue;
+  std::vector<double> hop_p99_queue;
   std::vector<double> hop_max_queue;
+  /// Fraction of time each hop held XOFF, and its XOFF onsets. XOFF at hop
+  /// h > 0 pauses hop h-1's egress; at hop 0 it stops the hop-0 senders.
+  std::vector<double> hop_pause_fraction;
+  std::vector<int> hop_pause_events;
 };
 
-/// Runs the chain with one congestion controller per flow.
+/// Runs the chain with one congestion controller per flow. Throws
+/// std::invalid_argument unless hops >= 1, flows is non-empty with
+/// 0 <= first_hop <= last_hop < hops, hop_capacities is empty or one per
+/// hop, capacities, line rates and step_s are finite and > 0, and
+/// duration_s (at least one step) and base_rtt_s (>= 0) are finite and
+/// under INT_MAX steps.
 MultiCcResult run_multi_cc_sim(
     const MultiCcParams& params,
     const std::function<std::unique_ptr<CcAlgorithm>()>& make_algorithm);
+
+/// One incast bottleneck, the chain's one-hop case: `senders` flows at
+/// 25 GB/s (200 Gb/s NICs) into one 50 GB/s egress.
+MultiCcParams incast_params(int senders);
 
 /// The §3.6 victim scenario: `incast_senders` flows cross every hop and
 /// congest the last one; one victim flow uses only the first hop. Returns

@@ -6,7 +6,7 @@
 // millisecond granularity, plus tooling that localizes a congestion event
 // to a specific link. This module is that visibility layer for the
 // simulators: every simulated link / NIC / switch queue registers here and
-// the fluid models (ccsim, ccsim_multi, flowsim, ecmp analysis) feed their
+// the models (the fluid PFC chain, flowsim, ecmp analysis) feed their
 // per-step state through the record_* hooks into ring-buffered LinkSeries.
 // Flows additionally register their ECMP hop list so each link's traffic
 // is attributable to the flows that crossed it (path recording).

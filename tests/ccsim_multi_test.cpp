@@ -2,6 +2,11 @@
 // head-of-line victim flows (§3.6).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <stdexcept>
+#include <utility>
+
 #include "net/ccsim_multi.h"
 
 namespace ms::net {
@@ -64,9 +69,8 @@ TEST(MultiCc, AggregateBoundedByBottleneck) {
   EXPECT_LE(delivered, 25e9 * 1.05);  // small slack for the drain tail
 }
 
-TEST(MultiCc, PfcCascadePropagatesUpstream) {
-  // Heavy incast into a slow last hop with shallow buffers: the pause must
-  // reach hop 0's egress at least briefly (the cascade).
+/// Heavy incast into a slow last hop with shallow buffers.
+MultiCcParams cascade() {
   MultiCcParams p;
   p.hops = 3;
   p.hop_capacities = {200e9, 200e9, 25e9};
@@ -74,8 +78,62 @@ TEST(MultiCc, PfcCascadePropagatesUpstream) {
   p.pfc_resume = 500e3;
   for (int i = 0; i < 32; ++i) p.flows.push_back({0, 2, 25e9});
   p.duration_s = 0.02;
-  auto r = run_multi_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
-  EXPECT_GT(r.hop_pause_events[1], 0);  // hop1 paused by queue2
+  return p;
+}
+
+TEST(MultiCc, PfcCascadePropagatesUpstream) {
+  // The pause must reach hop 0's egress at least briefly (the cascade).
+  auto r =
+      run_multi_cc_sim(cascade(), [] { return std::make_unique<Dcqcn>(); });
+  EXPECT_GT(r.hop_pause_events[2], 0);  // queue2 XOFF pauses hop1
+}
+
+TEST(MultiCc, HopZeroQueueBoundedByPfcHeadroom) {
+  // XOFF at hop 0 stops the senders injecting there, so hop 0's queue
+  // overshoots the pause threshold by at most one step of their line rate.
+  for (const auto& p : {cascade(), incast_params(64)}) {
+    double line_rate = 0;
+    for (const auto& flow : p.flows) {
+      if (flow.first_hop == 0) line_rate += flow.line_rate;
+    }
+    auto r = run_multi_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
+    EXPECT_LE(r.hop_max_queue[0], p.pfc_pause + p.step_s * line_rate)
+        << p.hops << " hops";
+  }
+}
+
+TEST(MultiCc, MalformedParamsThrow) {
+  using Mutation = std::function<void(MultiCcParams&)>;
+  const std::pair<const char*, Mutation> shapes[] = {
+      {"no hops", [](MultiCcParams& p) { p.hops = 0; }},
+      {"no flows", [](MultiCcParams& p) { p.flows.clear(); }},
+      {"first_hop < 0", [](MultiCcParams& p) { p.flows[0].first_hop = -1; }},
+      {"first_hop > last_hop",
+       [](MultiCcParams& p) { p.flows[0] = {2, 1, 25e9}; }},
+      {"last_hop >= hops", [](MultiCcParams& p) { p.flows[0].last_hop = 3; }},
+      {"short hop_capacities",
+       [](MultiCcParams& p) { p.hop_capacities = {50e9, 50e9}; }},
+      {"zero capacity",
+       [](MultiCcParams& p) { p.hop_capacities = {50e9, 0.0, 50e9}; }},
+      {"infinite capacity",
+       [](MultiCcParams& p) { p.hop_capacities = {50e9, 50e9, HUGE_VAL}; }},
+      {"zero line rate", [](MultiCcParams& p) { p.flows[0].line_rate = 0; }},
+      {"zero step", [](MultiCcParams& p) { p.step_s = 0.0; }},
+      {"negative step", [](MultiCcParams& p) { p.step_s = -2e-6; }},
+      {"NaN step", [](MultiCcParams& p) { p.step_s = std::nan(""); }},
+      {"duration under one step",
+       [](MultiCcParams& p) { p.duration_s = p.step_s / 2; }},
+      {"steps past INT_MAX", [](MultiCcParams& p) { p.duration_s = 1e9; }},
+      {"negative RTT", [](MultiCcParams& p) { p.base_rtt_s = -8e-6; }},
+  };
+  for (const auto& [what, mutate] : shapes) {
+    auto p = uncongested();
+    mutate(p);
+    EXPECT_THROW(
+        run_multi_cc_sim(p, [] { return std::make_unique<Dcqcn>(); }),
+        std::invalid_argument)
+        << what;
+  }
 }
 
 // ---------------------------------------------------------------- victim

@@ -1,4 +1,4 @@
-// Golden-scenario regression tests (label: chaos).
+// Golden-scenario regression tests (labels: tier1, chaos).
 //
 // Each canonical scenario runs on the DEFAULT ChaosConfig with a fixed
 // seed and is diffed against the committed golden record under

@@ -15,7 +15,7 @@
 #include "core/rng.h"
 #include "ft/faults.h"
 #include "ft/workflow.h"
-#include "net/ccsim.h"
+#include "net/ccsim_multi.h"
 #include "net/flowsim.h"
 #include "net/topology.h"
 #include "sim/engine.h"
@@ -226,10 +226,10 @@ TEST_F(CheckCleanRun, CcSimQueueAndRatesStayBounded) {
            std::function<std::unique_ptr<net::CcAlgorithm>()>(
                [] { return std::make_unique<net::MegaScaleCc>(); }),
        }) {
-    net::CcSimParams params;
-    params.senders = 8;
+    net::MultiCcParams params = net::incast_params(8);
     params.duration_s = 0.01;
-    (void)net::run_cc_sim(params, make);
+    (void)net::run_multi_cc_sim(params, make);
+    (void)net::run_multi_cc_sim(net::victim_params(8), make);
   }
   EXPECT_GT(check::Auditor::instance().checks(), 0u);
   EXPECT_EQ(check::Auditor::instance().violations(), 0u);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "diag/flight_recorder.h"
-#include "net/ccsim.h"
 #include "net/ccsim_multi.h"
 #include "net/ecmp.h"
 #include "net/fabric/detectors.h"
@@ -137,19 +136,19 @@ TEST(Observatory, UtilizationNormalizesByCapacityAndCadence) {
 // -------------------------------------------- passivity and determinism
 
 TEST(Observatory, CcSimResultsIdenticalWithObservatoryAttached) {
-  CcSimParams p;
-  p.senders = 16;
+  MultiCcParams p = incast_params(16);
   p.duration_s = 0.02;
-  const auto bare = run_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
+  const auto bare =
+      run_multi_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
   FabricObservatory obs;
   p.observatory = &obs;
   const auto observed =
-      run_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
-  EXPECT_DOUBLE_EQ(bare.utilization, observed.utilization);
-  EXPECT_DOUBLE_EQ(bare.mean_queue_bytes, observed.mean_queue_bytes);
-  EXPECT_DOUBLE_EQ(bare.p99_queue_bytes, observed.p99_queue_bytes);
-  EXPECT_DOUBLE_EQ(bare.pfc_pause_fraction, observed.pfc_pause_fraction);
-  EXPECT_EQ(bare.pfc_pause_events, observed.pfc_pause_events);
+      run_multi_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
+  EXPECT_DOUBLE_EQ(bare.hop_utilization[0], observed.hop_utilization[0]);
+  EXPECT_DOUBLE_EQ(bare.hop_mean_queue[0], observed.hop_mean_queue[0]);
+  EXPECT_DOUBLE_EQ(bare.hop_p99_queue[0], observed.hop_p99_queue[0]);
+  EXPECT_DOUBLE_EQ(bare.hop_pause_fraction[0], observed.hop_pause_fraction[0]);
+  EXPECT_EQ(bare.hop_pause_events[0], observed.hop_pause_events[0]);
   EXPECT_DOUBLE_EQ(bare.fairness, observed.fairness);
   EXPECT_GT(obs.series(0).sample_count(), 0u);
 }

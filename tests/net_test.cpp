@@ -3,7 +3,7 @@
 #include <cmath>
 #include <set>
 
-#include "net/ccsim.h"
+#include "net/ccsim_multi.h"
 #include "net/ecmp.h"
 #include "net/flap.h"
 #include "net/flowsim.h"
@@ -270,9 +270,8 @@ TEST(FlowSim, EmptyPathRejected) {
 
 // ----------------------------------------------------------------- ccsim
 
-CcSimParams cc_params() {
-  CcSimParams p;
-  p.senders = 8;
+MultiCcParams cc_params(int senders = 8) {
+  MultiCcParams p = incast_params(senders);
   p.duration_s = 0.03;
   return p;
 }
@@ -285,35 +284,34 @@ TEST(CcSim, AllAlgorithmsAchieveReasonableUtilization) {
                         [] { return std::make_unique<Swift>(); }),
                     std::function<std::unique_ptr<CcAlgorithm>()>(
                         [] { return std::make_unique<MegaScaleCc>(); })}) {
-    auto r = run_cc_sim(p, make);
-    EXPECT_GT(r.utilization, 0.5) << r.algorithm;
-    EXPECT_LE(r.utilization, 1.0 + 1e-9) << r.algorithm;
+    auto r = run_multi_cc_sim(p, make);
+    EXPECT_GT(r.hop_utilization[0], 0.5) << make()->name();
+    EXPECT_LE(r.hop_utilization[0], 1.0 + 1e-9) << make()->name();
   }
 }
 
 TEST(CcSim, DcqcnTriggersPfcUnderIncast) {
-  auto p = cc_params();
-  p.senders = 32;  // heavy incast
-  auto r = run_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
-  EXPECT_GT(r.pfc_pause_events, 0);
+  auto p = cc_params(32);  // heavy incast
+  auto r = run_multi_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
+  EXPECT_GT(r.hop_pause_events[0], 0);
 }
 
 TEST(CcSim, HybridAvoidsPfcAndKeepsThroughput) {
-  auto p = cc_params();
-  p.senders = 32;
-  auto dcqcn = run_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
-  auto hybrid = run_cc_sim(p, [] { return std::make_unique<MegaScaleCc>(); });
-  EXPECT_LT(hybrid.pfc_pause_fraction, dcqcn.pfc_pause_fraction);
-  EXPECT_LT(hybrid.mean_queue_bytes, dcqcn.mean_queue_bytes);
-  EXPECT_GT(hybrid.utilization, 0.85);
+  auto p = cc_params(32);
+  auto dcqcn = run_multi_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
+  auto hybrid =
+      run_multi_cc_sim(p, [] { return std::make_unique<MegaScaleCc>(); });
+  EXPECT_LT(hybrid.hop_pause_fraction[0], dcqcn.hop_pause_fraction[0]);
+  EXPECT_LT(hybrid.hop_mean_queue[0], dcqcn.hop_mean_queue[0]);
+  EXPECT_GT(hybrid.hop_utilization[0], 0.85);
 }
 
 TEST(CcSim, HybridQueueLowerThanDcqcn) {
-  auto p = cc_params();
-  p.senders = 16;
-  auto dcqcn = run_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
-  auto hybrid = run_cc_sim(p, [] { return std::make_unique<MegaScaleCc>(); });
-  EXPECT_LT(hybrid.p99_queue_bytes, dcqcn.p99_queue_bytes);
+  auto p = cc_params(16);
+  auto dcqcn = run_multi_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
+  auto hybrid =
+      run_multi_cc_sim(p, [] { return std::make_unique<MegaScaleCc>(); });
+  EXPECT_LT(hybrid.hop_p99_queue[0], dcqcn.hop_p99_queue[0]);
 }
 
 TEST(CcSim, FairnessNearOne) {
@@ -322,8 +320,8 @@ TEST(CcSim, FairnessNearOne) {
                         [] { return std::make_unique<Swift>(); }),
                     std::function<std::unique_ptr<CcAlgorithm>()>(
                         [] { return std::make_unique<MegaScaleCc>(); })}) {
-    auto r = run_cc_sim(p, make);
-    EXPECT_GT(r.fairness, 0.95) << r.algorithm;
+    auto r = run_multi_cc_sim(p, make);
+    EXPECT_GT(r.fairness, 0.95) << make()->name();
   }
 }
 
@@ -343,11 +341,10 @@ class FixedRate : public CcAlgorithm {
 /// by exactly 1 byte per step (dt = 0.25 s and byte-scale rates keep every
 /// intermediate value exactly representable, so the PFC thresholds are hit
 /// *exactly*, not approximately).
-CcSimParams staircase_params(int steps) {
-  CcSimParams p;
-  p.senders = 1;
-  p.line_rate = 8.0;
-  p.bottleneck_rate = 4.0;
+MultiCcParams staircase_params(int steps) {
+  MultiCcParams p = incast_params(1);
+  p.flows[0].line_rate = 8.0;
+  p.hop_capacity = 4.0;
   p.step_s = 0.25;
   p.duration_s = 0.25 * static_cast<double>(steps);
   p.base_rtt_s = 0.25;
@@ -361,10 +358,10 @@ CcSimParams staircase_params(int steps) {
 TEST(CcSim, QueueExactlyAtPauseThresholdDoesNotPause) {
   // Queue after steps 0,1,2 is 1,2,3 bytes: it ends exactly ON the pause
   // threshold, and the latch requires strictly above.
-  auto r = run_cc_sim(staircase_params(3),
-                      [] { return std::make_unique<FixedRate>(); });
-  EXPECT_EQ(r.pfc_pause_events, 0);
-  EXPECT_DOUBLE_EQ(r.pfc_pause_fraction, 0.0);
+  auto r = run_multi_cc_sim(staircase_params(3),
+                            [] { return std::make_unique<FixedRate>(); });
+  EXPECT_EQ(r.hop_pause_events[0], 0);
+  EXPECT_DOUBLE_EQ(r.hop_pause_fraction[0], 0.0);
 }
 
 TEST(CcSim, QueueExactlyAtResumeThresholdStaysPaused) {
@@ -373,25 +370,24 @@ TEST(CcSim, QueueExactlyAtResumeThresholdStaysPaused) {
   // strictly below), so the pause spans three steps of the eight:
   // fraction 3/8 exactly. A <=-resume bug would yield 2/8, a >=-pause bug
   // would latch one step early — either breaks the equality.
-  auto r = run_cc_sim(staircase_params(8),
-                      [] { return std::make_unique<FixedRate>(); });
-  EXPECT_EQ(r.pfc_pause_events, 1);
-  EXPECT_DOUBLE_EQ(r.pfc_pause_fraction, 0.375);
-  EXPECT_DOUBLE_EQ(r.utilization, 1.0);  // egress never idles
+  auto r = run_multi_cc_sim(staircase_params(8),
+                            [] { return std::make_unique<FixedRate>(); });
+  EXPECT_EQ(r.hop_pause_events[0], 1);
+  EXPECT_DOUBLE_EQ(r.hop_pause_fraction[0], 0.375);
+  EXPECT_DOUBLE_EQ(r.hop_utilization[0], 1.0);  // egress never idles
 }
 
 TEST(CcSim, DegenerateEcnBandIsFinite) {
   // kmin == kmax collapses the RED ramp to a step function; the marking
   // math must not divide by the zero-width band.
-  auto p = cc_params();
-  p.senders = 24;
+  auto p = cc_params(24);
   p.ecn_kmin = 800e3;
   p.ecn_kmax = 800e3;
-  auto r = run_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
-  EXPECT_TRUE(std::isfinite(r.utilization));
-  EXPECT_TRUE(std::isfinite(r.mean_queue_bytes));
-  EXPECT_GT(r.utilization, 0.0);
-  EXPECT_LE(r.utilization, 1.0 + 1e-9);
+  auto r = run_multi_cc_sim(p, [] { return std::make_unique<Dcqcn>(); });
+  EXPECT_TRUE(std::isfinite(r.hop_utilization[0]));
+  EXPECT_TRUE(std::isfinite(r.hop_mean_queue[0]));
+  EXPECT_GT(r.hop_utilization[0], 0.0);
+  EXPECT_LE(r.hop_utilization[0], 1.0 + 1e-9);
 }
 
 TEST(CcSim, ZeroRttIsFinite) {
@@ -403,10 +399,10 @@ TEST(CcSim, ZeroRttIsFinite) {
                         [] { return std::make_unique<Dcqcn>(); }),
                     std::function<std::unique_ptr<CcAlgorithm>()>(
                         [] { return std::make_unique<MegaScaleCc>(); })}) {
-    auto r = run_cc_sim(p, make);
-    EXPECT_TRUE(std::isfinite(r.utilization)) << r.algorithm;
-    EXPECT_GT(r.utilization, 0.0) << r.algorithm;
-    EXPECT_LE(r.utilization, 1.0 + 1e-9) << r.algorithm;
+    auto r = run_multi_cc_sim(p, make);
+    EXPECT_TRUE(std::isfinite(r.hop_utilization[0])) << make()->name();
+    EXPECT_GT(r.hop_utilization[0], 0.0) << make()->name();
+    EXPECT_LE(r.hop_utilization[0], 1.0 + 1e-9) << make()->name();
   }
 }
 

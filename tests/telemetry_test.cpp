@@ -1,6 +1,6 @@
 // Unified telemetry subsystem: registry semantics, tracer/scoped spans,
 // the three exporters, the training dashboard, and the metric series the
-// instrumented layers (engine, net, data, ft) actually emit.
+// instrumented layers (engine, data, ft) actually emit.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,7 +12,6 @@
 #include "data/pipeline.h"
 #include "engine/job.h"
 #include "ft/workflow.h"
-#include "net/ccsim.h"
 #include "sim/engine.h"
 #include "telemetry/dashboard.h"
 #include "telemetry/exporters.h"
@@ -296,22 +295,6 @@ TEST(Instrumentation, EngineEmitsSpansAndMetrics) {
     if (s.name == "collective_latency_seconds") saw_collective = true;
   }
   EXPECT_TRUE(saw_collective);
-}
-
-TEST(Instrumentation, CcSimRecordsQueueAndPfc) {
-  MetricsRegistry reg;
-  net::CcSimParams p;
-  p.senders = 8;
-  p.duration_s = 0.01;
-  p.metrics = &reg;
-  const auto result =
-      net::run_cc_sim(p, [] { return std::make_unique<net::Dcqcn>(); });
-  const auto snap = reg.snapshot();
-  const Labels algo{{"algo", result.algorithm}};
-  ASSERT_NE(snap.find("ccsim_queue_depth_bytes", algo), nullptr);
-  const auto* util = snap.find("ccsim_utilization", algo);
-  ASSERT_NE(util, nullptr);
-  EXPECT_NEAR(util->value, result.utilization, 1e-12);
 }
 
 TEST(Instrumentation, DataPipelineRecordsComponents) {

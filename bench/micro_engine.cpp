@@ -8,8 +8,8 @@
 // structural counters plus events/sec against bench/baselines/.
 //
 //   events/sec, ns/event        gated loosely (host-dependent, 50%)
-//   allocs/event, peak queue,   gated exactly (structural: any drift is
-//   executed/scheduled/...      a behavior change, not noise)
+//   executed, peak queue        gated exactly (structural: any drift is
+//                               a behavior change, not noise)
 //
 // A second, profiler-ENABLED run records the instrumented cost as ungated
 // info() so the per-event price of MS_PROF stays visible next to the
@@ -68,11 +68,6 @@ int main() {
       static_cast<double>(dormant.wall) / events;
   const double enabled_ns_per_event =
       static_cast<double>(enabled.wall) / events;
-  // Allocations per event: every schedule costs exactly one queue entry +
-  // one callback-map insert; a fractional drift means the engine started
-  // allocating somewhere new.
-  const double allocs_per_event =
-      static_cast<double>(res.scheduled) / events;
 
   Table table({"quantity", "value"});
   table.add_row({"events executed", Table::fmt_int(static_cast<long long>(
@@ -81,32 +76,24 @@ int main() {
       {"events/sec (dormant)", Table::fmt(dormant_eps / kMega, 2) + "M"});
   table.add_row({"ns/event (dormant)", Table::fmt(dormant_ns_per_event, 1)});
   table.add_row({"ns/event (profiled)", Table::fmt(enabled_ns_per_event, 1)});
-  table.add_row({"allocs/event", Table::fmt(allocs_per_event, 4)});
   table.add_row({"peak queue depth", Table::fmt_int(static_cast<long long>(
                                          res.peak_queue))});
-  table.add_row({"tombstone pops", Table::fmt_int(static_cast<long long>(
-                                       res.tombstone_pops))});
   std::printf("%s\n", table.to_string().c_str());
   std::printf("engine digest 0x%016llx (must not move with MS_PROF)\n\n",
               static_cast<unsigned long long>(res.engine_digest));
 
+  const prof::MicroEngineConfig cfg;
   bench::BenchReport report("micro_engine");
-  report.config("chains", 8);
-  report.config("chain_events", 150000);
-  report.config("fanout_events", 300000);
-  report.config("cancel_events", 200000);
+  report.config("chains", cfg.chains);
+  report.config("chain_events", cfg.chain_events);
+  report.config("fanout_events", cfg.fanout_events);
   report.config("repeat", kRepeat);
   // Host-dependent throughput: wide tolerance, still catches a 2x cliff.
   report.metric("events_per_sec", dormant_eps, 0.5);
   report.metric("ns_per_event", dormant_ns_per_event, 0.5);
   // Structural counters: exact.
   report.metric("executed_total", static_cast<double>(res.events), 0.0);
-  report.metric("scheduled_total", static_cast<double>(res.scheduled), 0.0);
-  report.metric("cancelled_total", static_cast<double>(res.cancelled), 0.0);
-  report.metric("allocs_per_event", allocs_per_event, 0.0);
   report.metric("peak_queue_depth", static_cast<double>(res.peak_queue), 0.0);
-  report.metric("tombstone_pops", static_cast<double>(res.tombstone_pops),
-                0.0);
   report.info("wall_ms_dormant", static_cast<double>(dormant.wall) / kWallNsPerMs);
   report.info("wall_ms_profiled",
               static_cast<double>(enabled.wall) / kWallNsPerMs);

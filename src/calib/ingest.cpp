@@ -272,11 +272,10 @@ bool ingest_trace(const std::string& text, IngestResult& out,
 bool ingest_trace_file(const std::string& path, IngestResult& out,
                        std::string& error) {
   std::string text;
-  if (!diag::read_text_file(path, text)) {
-    error = "cannot read " + path;
-    return false;
+  if (diag::read_text_file(path, text, &error) &&
+      ingest_trace(text, out, error)) {
+    return true;
   }
-  if (ingest_trace(text, out, error)) return true;
   error = path + ": " + error;
   return false;
 }

@@ -7,6 +7,7 @@
 // the analyzer without conversion.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,19 @@ namespace ms::diag {
 /// on IO failure.
 bool write_text_file(const std::string& path, const std::string& content);
 
-/// Reads the whole file. Returns false when unreadable.
-bool read_text_file(const std::string& path, std::string& out);
+/// Largest file read_text_file accepts: 256 MiB, about 90x the largest
+/// artifact any bench writes (the 2.7 MB fig11_step_trace.json). The cap
+/// turns an endless or huge input (/dev/zero, a runaway pipe) into an
+/// error instead of an out-of-memory abort.
+inline constexpr std::uintmax_t kMaxTextFileBytes = std::uintmax_t{256} << 20;
+
+/// Reads the whole file. Returns false when it cannot be read or holds
+/// more than kMaxTextFileBytes; `error` (if non-null) then receives
+/// "cannot read" or "larger than N bytes". A regular file's size is
+/// checked before reading; any other file is read in chunks and reading
+/// stops one byte past the cap.
+bool read_text_file(const std::string& path, std::string& out,
+                    std::string* error = nullptr);
 
 /// Parses a span JSONL artifact. Lines of other types (metrics mixed into
 /// the same export) are skipped. Malformed JSON, or a span field that is

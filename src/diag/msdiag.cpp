@@ -17,13 +17,9 @@ namespace {
 
 bool load_spans(const std::string& path, std::vector<TraceSpan>& spans,
                 std::ostream& err) {
-  std::string text;
-  if (!read_text_file(path, text)) {
-    err << "msdiag: cannot read " << path << '\n';
-    return false;
-  }
-  std::string problem;
-  if (!parse_trace_jsonl(text, spans, &problem)) {
+  std::string text, problem;
+  if (!read_text_file(path, text, &problem) ||
+      !parse_trace_jsonl(text, spans, &problem)) {
     err << "msdiag: " << path << ": " << problem << '\n';
     return false;
   }
@@ -73,14 +69,10 @@ int cmd_flight(const std::vector<std::string>& args, std::ostream& out,
   p.positional("<dump.jsonl>", path);
   p.text("--perfetto", perfetto);
   if (!p.parse(args, err)) return 1;
-  std::string text;
-  if (!read_text_file(path, text)) {
-    err << "msdiag: cannot read " << path << '\n';
-    return 1;
-  }
+  std::string text, problem;
   FlightDump dump;
-  std::string problem;
-  if (!parse_flight_dump_jsonl(text, dump, &problem)) {
+  if (!read_text_file(path, text, &problem) ||
+      !parse_flight_dump_jsonl(text, dump, &problem)) {
     err << "msdiag: " << path << ": " << problem << '\n';
     return 1;
   }

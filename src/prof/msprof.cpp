@@ -38,9 +38,6 @@ constexpr int kFig11Batch = 6144;
 WorkloadResult result_from(const sim::Engine& eng) {
   WorkloadResult r;
   r.events = eng.executed();
-  r.scheduled = eng.scheduled();
-  r.cancelled = eng.cancelled();
-  r.tombstone_pops = eng.tombstone_pops();
   r.peak_queue = eng.peak_queue_size();
   r.engine_digest = eng.digest();
   return r;
@@ -81,20 +78,6 @@ WorkloadResult run_micro_engine(const MicroEngineConfig& cfg) {
     for (int i = 0; i < cfg.fanout_events; ++i) {
       eng.at(base + 1 + i, [] {});
     }
-    eng.run();
-  }
-
-  // Phase 3: cancel-heavy — every other event tombstoned, so the run
-  // pays the pop-and-skip price of O(1) cancellation.
-  {
-    MS_PROF_SCOPE("micro.cancel");
-    const TimeNs base = eng.now();
-    std::vector<sim::EventId> ids;
-    ids.reserve(static_cast<std::size_t>(cfg.cancel_events));
-    for (int i = 0; i < cfg.cancel_events; ++i) {
-      ids.push_back(eng.at(base + 1 + i, [] {}));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 2) eng.cancel(ids[i]);
     eng.run();
   }
 
@@ -228,13 +211,9 @@ constexpr int kMaxRepeat = 50;
 
 bool load_report(const std::string& path, ProfileReport& report,
                  std::ostream& err) {
-  std::string text;
-  if (!diag::read_text_file(path, text)) {
-    err << "msprof: cannot read " << path << "\n";
-    return false;
-  }
-  std::string problem;
-  if (!parse_jsonl(text, report, &problem)) {
+  std::string text, problem;
+  if (!diag::read_text_file(path, text, &problem) ||
+      !parse_jsonl(text, report, &problem)) {
     err << "msprof: " << path << ": " << problem << "\n";
     return false;
   }
@@ -242,16 +221,13 @@ bool load_report(const std::string& path, ProfileReport& report,
 }
 
 /// Engine events fired during the profiled window, recovered from the
-/// engine's own attribution scopes (workloads that drive sim::Engine
-/// indirectly cannot reach the instance to ask it).
+/// engine's per-event `engine.event` scope (workloads that drive
+/// sim::Engine indirectly cannot reach the instance to ask it).
 std::uint64_t events_from_scopes(const ProfileReport& report) {
-  std::uint64_t events = 0;
   for (const ScopeStats& s : report.scopes) {
-    if (s.name == "engine.event" || s.name.rfind("event.", 0) == 0) {
-      events += s.count;
-    }
+    if (s.name == "engine.event") return s.count;
   }
-  return events;
+  return 0;
 }
 
 int run_main(const std::vector<std::string>& args, std::ostream& out,
@@ -300,15 +276,9 @@ int run_main(const std::vector<std::string>& args, std::ostream& out,
                 static_cast<unsigned long long>(report.digest()));
   out << "profile digest: 0x" << digest_hex << " (structural: scope names + "
       << "counts only)\n";
-  if (result.scheduled != 0) {
-    out << "engine: scheduled "
-        << Table::fmt_int(static_cast<long long>(result.scheduled))
-        << " | executed "
+  if (result.events != 0) {
+    out << "engine: executed "
         << Table::fmt_int(static_cast<long long>(result.events))
-        << " | cancelled "
-        << Table::fmt_int(static_cast<long long>(result.cancelled))
-        << " | tombstone pops "
-        << Table::fmt_int(static_cast<long long>(result.tombstone_pops))
         << " | peak queue "
         << Table::fmt_int(static_cast<long long>(result.peak_queue)) << "\n";
   }

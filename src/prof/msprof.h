@@ -34,24 +34,19 @@ namespace ms::prof {
 /// Deterministic outcome of one workload run (wall time excluded on
 /// purpose: everything here must be bit-identical run to run).
 struct WorkloadResult {
-  std::uint64_t events = 0;          // engine events executed
-  std::uint64_t scheduled = 0;       // event ids issued
-  std::uint64_t cancelled = 0;       // events tombstoned before firing
-  std::uint64_t tombstone_pops = 0;  // heap pops wasted on tombstones
-  std::uint64_t peak_queue = 0;      // queue-depth high-water mark
-  std::uint64_t engine_digest = 0;   // sim::Engine execution digest
+  std::uint64_t events = 0;         // engine events executed
+  std::uint64_t peak_queue = 0;     // queue-depth high-water mark
+  std::uint64_t engine_digest = 0;  // sim::Engine execution digest
 };
 
-/// The micro_engine workload: pure sim::Engine churn with three phases —
-/// self-rescheduling chains (micro.churn), a deep pre-seeded queue
-/// (micro.fanout) and a cancel-heavy pattern (micro.cancel). This is the
-/// ROADMAP item-2 baseline workload: BENCH_micro_engine.json gates its
-/// events/sec and allocations/event.
+/// The micro_engine workload: pure sim::Engine churn in two phases —
+/// self-rescheduling chains (micro.churn) and a deep pre-seeded queue
+/// (micro.fanout). This is the ROADMAP item-2 baseline workload:
+/// BENCH_micro_engine.json gates its events/sec and event counts.
 struct MicroEngineConfig {
-  int chains = 8;            // concurrent self-rescheduling chains
-  int chain_events = 150000;  // events per chain
-  int fanout_events = 300000;  // pre-seeded queue depth
-  int cancel_events = 200000;  // scheduled then half cancelled
+  int chains = 8;               // concurrent self-rescheduling chains
+  int chain_events = 150000;    // events per chain
+  int fanout_events = 300000;   // pre-seeded queue depth
 };
 WorkloadResult run_micro_engine(const MicroEngineConfig& cfg = {});
 

@@ -13,8 +13,8 @@
 //      merge on snapshot() into the fixed-layout core HdrHistogram, the
 //      same mergeable sketch the telemetry registry speaks.
 //
-//   2. Counters for the event-allocation path (prof::count_alloc) and an
-//      optional self-trace ring: when tracing is on, every closed scope
+//   2. An allocation counter (prof::count_alloc) and an optional
+//      self-trace ring: when tracing is on, every closed scope
 //      appends an (id, start, dur, tid) record, exported by prof/report.h
 //      as a Perfetto/Chrome trace whose track is the simulator process.
 //
@@ -66,7 +66,7 @@ inline std::atomic<bool> g_enabled{false};
 // Self-trace capture switch (independent of g_enabled so aggregate
 // profiling does not pay the ring-append unless a trace was asked for).
 inline std::atomic<bool> g_tracing{false};
-// Allocation counter for the event-allocation path (sim::Engine::at).
+// Allocation counter behind prof::count_alloc.
 inline std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace internal
 
@@ -83,10 +83,9 @@ inline bool tracing() {
 }
 void set_tracing(bool on);
 
-/// Counting hook for the event-allocation path: the engine calls this once
-/// per heap-backed event it schedules, so allocations/event is a gated
-/// bench metric (exact — allocation behaviour is deterministic even though
-/// durations are not).
+/// Counting hook for instrumented allocation sites; a captured report
+/// carries the total as `allocs`. Counts only while the profiler is
+/// enabled.
 inline void count_alloc(std::uint64_t n = 1) {
   if (enabled()) {
     internal::g_allocs.fetch_add(n, std::memory_order_relaxed);
@@ -165,7 +164,7 @@ void scope_closed(ThreadState& t, Cell* cell, ScopeId id, WallNs start,
 }  // namespace internal
 
 /// RAII scope timer — the expansion of MS_PROF_SCOPE. Usable directly when
-/// the scope id is dynamic (the engine's per-event-kind attribution).
+/// the scope id is dynamic.
 class ScopeTimer {
  public:
   explicit ScopeTimer(ScopeId id) {

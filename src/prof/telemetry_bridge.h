@@ -13,8 +13,6 @@
 //   prof_scope_samples{scope=...}        counter  times the scope closed
 //   prof_scope_seconds{scope=...}        histogram  sample durations
 //   prof_events_total / prof_allocs_total / prof_wall_seconds
-// plus the engine introspection gauges (satellite of ISSUE 9):
-//   engine_queue_depth / engine_tombstones / engine_events_executed
 #pragma once
 
 #include <string>
@@ -22,7 +20,6 @@
 #include "core/units.h"
 #include "prof/profiler.h"
 #include "prof/report.h"
-#include "sim/engine.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sketch.h"
 
@@ -62,22 +59,6 @@ inline telemetry::SketchSnapshot profile_sketch() {
         "prof_scope_seconds{scope=\"" + s.name + "\"}", seconds);
   }
   return sketch;
-}
-
-/// Engine event-loop introspection as gauges (ISSUE 9 satellite: the
-/// `engine_queue_depth` series).
-inline void export_engine_gauges(const sim::Engine& engine,
-                                 telemetry::MetricsRegistry& registry) {
-  registry.gauge("engine_queue_depth")
-      .set(static_cast<double>(engine.queue_size()));
-  registry.gauge("engine_queue_depth_peak")
-      .set(static_cast<double>(engine.peak_queue_size()));
-  registry.gauge("engine_tombstones")
-      .set(static_cast<double>(engine.tombstone_count()));
-  registry.gauge("engine_events_executed")
-      .set(static_cast<double>(engine.executed()));
-  registry.gauge("engine_events_cancelled")
-      .set(static_cast<double>(engine.cancelled()));
 }
 
 }  // namespace ms::prof

@@ -1,67 +1,44 @@
 #include "sim/engine.h"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "check/audit.h"
+#include "prof/profiler.h"
 
 namespace ms::sim {
 
-#if defined(MS_PROF_ENABLED) && MS_PROF_ENABLED
-namespace {
-
-// Attribution bucket for events scheduled without an explicit kind.
-prof::ScopeId default_event_scope() {
-  static const prof::ScopeId id = prof::register_scope("engine.event");
-  return id;
-}
-
-}  // namespace
-#endif
-
-EventId Engine::at(TimeNs t, std::function<void()> fn, prof::ScopeId kind) {
+void Engine::at(TimeNs t, std::function<void()> fn) {
   MS_AUDIT("sim.engine", "schedule_not_in_past", t >= now_,
            "at(" + std::to_string(t) + ") with now=" + std::to_string(now_));
   if (t < now_) t = now_;  // clamp: keeps time monotone even under misuse
-  const EventId id = next_id_++;
-  queue_.push(Entry{t, id});
-  callbacks_.emplace(id, Callback{std::move(fn), kind});
-  ++live_;
-  if (queue_.size() > peak_queue_size_) peak_queue_size_ = queue_.size();
-  // One heap-backed callback node per scheduled event: the allocation the
-  // ROADMAP item-2 slab rebuild is meant to eliminate. Deterministic, so
-  // the micro_engine bench gates allocs/event at exact tolerance.
-  MS_PROF_COUNT_ALLOC(1);
-  return id;
-}
-
-EventId Engine::after(TimeNs delay, std::function<void()> fn,
-                      prof::ScopeId kind) {
-  if (delay < 0) delay = 0;
-  return at(now_ + delay, std::move(fn), kind);
-}
-
-bool Engine::cancel(EventId id) {
-  auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) return false;
-  callbacks_.erase(it);
-  --live_;
-  ++cancelled_;
-  return true;
-}
-
-bool Engine::pop_next(Entry& out) {
-  MS_PROF_SCOPE("engine.pop");
-  while (!queue_.empty()) {
-    Entry e = queue_.top();
-    queue_.pop();
-    if (callbacks_.count(e.id)) {
-      out = e;
-      return true;
-    }
-    ++tombstone_pops_;  // tombstoned (cancelled) — skip
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(fn);
   }
-  return false;
+  heap_.push_back(Entry{t, next_id_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), later);
+  peak_queue_size_ = std::max(peak_queue_size_, heap_.size());
+}
+
+void Engine::after(TimeNs delay, std::function<void()> fn) {
+  at(now_ + std::max<TimeNs>(delay, 0), std::move(fn));
+}
+
+bool Engine::pop_due(TimeNs limit, Entry& out) {
+  MS_PROF_SCOPE("engine.pop");
+  if (heap_.empty() || heap_.front().t > limit) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  out = heap_.back();
+  heap_.pop_back();
+  return true;
 }
 
 void Engine::fire(const Entry& e) {
@@ -77,64 +54,32 @@ void Engine::fire(const Entry& e) {
   last_fired_id_ = e.id;
   digest_.fold(e.id);
   digest_.fold(e.t);
-  auto it = callbacks_.find(e.id);
-  // pop_next guaranteed presence; move the callback out before invoking so
-  // the callback may freely schedule/cancel.
-  Callback cb = std::move(it->second);
-  callbacks_.erase(it);
-  --live_;
   ++executed_;
-  // Tombstone closure: every id ever issued is live, fired or cancelled.
-  MS_AUDIT("sim.engine", "tombstone_closure",
-           next_id_ - 1 == executed_ + cancelled_ + live_,
+  // Id closure: every id ever issued has either fired or is still queued.
+  MS_AUDIT("sim.engine", "id_closure",
+           next_id_ - 1 == executed_ + heap_.size(),
            "issued=" + std::to_string(next_id_ - 1) + " executed=" +
-               std::to_string(executed_) + " cancelled=" +
-               std::to_string(cancelled_) + " live=" + std::to_string(live_));
-#if defined(MS_PROF_ENABLED) && MS_PROF_ENABLED
-  {
-    // Per-event handler-cost attribution: tagged events under their kind
-    // scope, the rest under "engine.event". One relaxed load + branch
-    // when the profiler is dormant.
-    prof::ScopeTimer timer(cb.kind != prof::kInvalidScope
-                               ? cb.kind
-                               : default_event_scope());
-    cb.fn();
-  }
-#else
-  cb.fn();
-#endif
-}
-
-bool Engine::step() {
-  Entry e;
-  if (!pop_next(e)) return false;
-  fire(e);
-  return true;
+               std::to_string(executed_) +
+               " queued=" + std::to_string(heap_.size()));
+  // Take the callback and free its slot first: the callback may schedule
+  // events, which can reuse the slot or grow callbacks_.
+  const std::function<void()> fn = std::move(callbacks_[e.slot]);
+  free_slots_.push_back(e.slot);
+  MS_PROF_SCOPE("engine.event");
+  fn();
 }
 
 void Engine::run() {
   MS_PROF_SCOPE("engine.run");
-  stopped_ = false;
-  while (!stopped_ && step()) {
-  }
+  Entry e;
+  while (pop_due(std::numeric_limits<TimeNs>::max(), e)) fire(e);
 }
 
 void Engine::run_until(TimeNs t) {
   MS_PROF_SCOPE("engine.run_until");
-  stopped_ = false;
   Entry e;
-  while (!stopped_) {
-    if (!pop_next(e)) break;
-    if (e.t > t) {
-      // Push it back; it stays pending.
-      queue_.push(e);
-      break;
-    }
-    fire(e);
-  }
-  // A stop() mid-window leaves the clock at the last executed event so
-  // resuming does not skip the untouched remainder of the window.
-  if (!stopped_ && now_ < t) now_ = t;
+  while (pop_due(t, e)) fire(e);
+  if (now_ < t) now_ = t;
 }
 
 }  // namespace ms::sim

@@ -1,7 +1,9 @@
 #include "sim/graph.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace ms::sim {
 
@@ -9,21 +11,20 @@ GraphExecutor::GraphExecutor(std::size_t max_streams) {
   streams_.resize(max_streams);
 }
 
-StreamId GraphExecutor::add_stream() {
-  streams_.emplace_back();
-  return static_cast<StreamId>(streams_.size() - 1);
-}
-
 OpId GraphExecutor::add_op(OpSpec spec) {
-  assert(!ran_ && "graph already executed");
-  assert(spec.stream >= 0 &&
-         static_cast<std::size_t>(spec.stream) < streams_.size());
+  if (ran_) throw std::logic_error("GraphExecutor::add_op after run()");
+  if (spec.stream < 0 ||
+      static_cast<std::size_t>(spec.stream) >= streams_.size()) {
+    throw std::invalid_argument(
+        "GraphExecutor::add_op: stream " + std::to_string(spec.stream) +
+        " outside [0, " + std::to_string(streams_.size()) + ")");
+  }
   const OpId id = static_cast<OpId>(specs_.size());
   OpRecord rec;
   rec.id = id;
-  rec.name = spec.name;
-  rec.tag = spec.tag;
-  rec.detail = spec.detail;
+  rec.name = std::move(spec.name);
+  rec.tag = std::move(spec.tag);
+  rec.detail = std::move(spec.detail);
   rec.stream = spec.stream;
   records_.push_back(std::move(rec));
   specs_.push_back(std::move(spec));
@@ -33,9 +34,18 @@ OpId GraphExecutor::add_op(OpSpec spec) {
 }
 
 void GraphExecutor::add_dep(OpId before, OpId after) {
-  assert(before >= 0 && static_cast<std::size_t>(before) < specs_.size());
-  assert(after >= 0 && static_cast<std::size_t>(after) < specs_.size());
-  assert(before != after);
+  if (ran_) throw std::logic_error("GraphExecutor::add_dep after run()");
+  for (const OpId id : {before, after}) {
+    if (id < 0 || static_cast<std::size_t>(id) >= specs_.size()) {
+      throw std::invalid_argument("GraphExecutor::add_dep: op " +
+                                  std::to_string(id) + " outside [0, " +
+                                  std::to_string(specs_.size()) + ")");
+    }
+  }
+  if (before == after) {
+    throw std::invalid_argument("GraphExecutor::add_dep: op " +
+                                std::to_string(before) + " depends on itself");
+  }
   dependents_[static_cast<std::size_t>(before)].push_back(after);
   ++indegree_[static_cast<std::size_t>(after)];
 }
@@ -81,10 +91,9 @@ void GraphExecutor::try_issue(Engine& engine, StreamId s) {
   auto& spec = specs_[static_cast<std::size_t>(id)];
   auto& rec = records_[static_cast<std::size_t>(id)];
   rec.start = engine.now();
-  const TimeNs dur =
-      spec.duration_fn ? spec.duration_fn(rec.start) : spec.duration;
-  assert(dur >= 0);
-  engine.after(dur, [this, &engine, id] { on_op_finished(engine, id); });
+  assert(spec.duration >= 0);
+  engine.after(spec.duration,
+               [this, &engine, id] { on_op_finished(engine, id); });
 }
 
 void GraphExecutor::on_op_finished(Engine& engine, OpId id) {
@@ -96,8 +105,6 @@ void GraphExecutor::on_op_finished(Engine& engine, OpId id) {
   auto& stream = streams_[static_cast<std::size_t>(spec.stream)];
   stream.busy_now = false;
   stream.busy += rec.end - rec.start;
-
-  if (spec.on_finish) spec.on_finish(rec.start, rec.end);
 
   for (OpId dep : dependents_[static_cast<std::size_t>(id)]) {
     if (--indegree_[static_cast<std::size_t>(dep)] == 0) {

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <queue>
 #include <string>
 #include <vector>
@@ -32,11 +30,6 @@ struct OpSpec {
   /// Higher priority ops are issued first when several are ready on the same
   /// stream (MegaScale launches high-priority communication first, §3.2).
   int priority = 0;
-  /// Optional dynamic duration: called at start time; overrides `duration`.
-  /// Used for perturbation injection (GC pauses, stragglers).
-  std::function<TimeNs(TimeNs start)> duration_fn;
-  /// Optional completion hook.
-  std::function<void(TimeNs start, TimeNs end)> on_finish;
   /// Free-form tag for span analysis (e.g. "fwd", "bwd", "dp-comm").
   std::string tag;
   /// Structured attributes for dependency reconstruction, encoded as
@@ -60,15 +53,17 @@ struct OpRecord {
 
 class GraphExecutor {
  public:
-  /// Streams are created lazily: any StreamId in [0, max_streams) is valid.
+  /// Any StreamId in [0, max_streams) is valid.
   explicit GraphExecutor(std::size_t max_streams = 64);
 
-  StreamId add_stream();  // returns a fresh stream id
-  std::size_t stream_count() const { return streams_.size(); }
-
+  /// Adds an op; its name, tag and detail move into its OpRecord. Throws
+  /// std::invalid_argument for a stream outside [0, max_streams) and
+  /// std::logic_error after run().
   OpId add_op(OpSpec spec);
 
   /// Declares that `after` cannot start before `before` has finished.
+  /// Throws std::invalid_argument for an unknown op id or a self-edge and
+  /// std::logic_error after run().
   void add_dep(OpId before, OpId after);
 
   /// Runs the whole graph to completion on `engine`. May be called once.
@@ -80,8 +75,6 @@ class GraphExecutor {
 
   /// Total busy time per stream (for utilization analysis).
   TimeNs stream_busy(StreamId s) const { return streams_[static_cast<std::size_t>(s)].busy; }
-
-  std::size_t op_count() const { return specs_.size(); }
 
  private:
   struct ReadyEntry {
@@ -102,7 +95,7 @@ class GraphExecutor {
   void try_issue(Engine& engine, StreamId s);
   void on_op_finished(Engine& engine, OpId id);
 
-  std::vector<OpSpec> specs_;
+  std::vector<OpSpec> specs_;  // name, tag and detail moved to records_
   std::vector<OpRecord> records_;
   std::vector<std::vector<OpId>> dependents_;
   std::vector<int> indegree_;

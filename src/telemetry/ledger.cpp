@@ -531,13 +531,9 @@ namespace {
 
 bool load_ledger(const std::string& path, LedgerSeries& series,
                  std::ostream& err) {
-  std::string text;
-  if (!diag::read_text_file(path, text)) {
-    err << "msdiag: cannot read " << path << '\n';
-    return false;
-  }
-  std::string problem;
-  if (!parse_ledger_jsonl(text, series, &problem)) {
+  std::string text, problem;
+  if (!diag::read_text_file(path, text, &problem) ||
+      !parse_ledger_jsonl(text, series, &problem)) {
     err << "msdiag: " << path << ": " << problem << '\n';
     return false;
   }

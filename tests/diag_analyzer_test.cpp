@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -349,7 +350,22 @@ TEST(Artifact, WriteCreatesParentDirectories) {
   std::string back;
   ASSERT_TRUE(diag::read_text_file(path, back));
   EXPECT_EQ(back, "hello\n");
-  EXPECT_FALSE(diag::read_text_file(temp_path("no_such_file"), back));
+  std::string error;
+  EXPECT_FALSE(diag::read_text_file(temp_path("no_such_file"), back, &error));
+  EXPECT_EQ(error, "cannot read");
+}
+
+TEST(Artifact, ReadRejectsRegularFileOverTheCap) {
+  // Sparse: resize_file allocates no blocks, and the size check fails the
+  // read before a byte is read.
+  const std::string path = temp_path("diag_artifact_over_cap.bin");
+  ASSERT_TRUE(diag::write_text_file(path, ""));
+  std::filesystem::resize_file(path, diag::kMaxTextFileBytes + 1);
+  std::string text = "untouched", error;
+  EXPECT_FALSE(diag::read_text_file(path, text, &error));
+  EXPECT_EQ(error, "larger than 268435456 bytes");
+  EXPECT_EQ(text, "untouched");
+  std::filesystem::remove(path);
 }
 
 // ----------------------------------------------------------------- msdiag
@@ -429,6 +445,9 @@ TEST_F(MsdiagTest, BadInvocationsFailWithUsage) {
   EXPECT_EQ(run({"frobnicate"}), 1);
   EXPECT_EQ(run({"analyze", temp_path("msdiag_missing.jsonl")}), 1);
   EXPECT_EQ(run({"diff", temp_path("msdiag_missing.jsonl")}), 1);
+  // An endless input stops one byte past the read cap and exits 1.
+  EXPECT_EQ(run({"analyze", "/dev/zero"}), 1);
+  EXPECT_EQ(err.str(), "msdiag: /dev/zero: larger than 268435456 bytes\n");
   // A malformed count fails before the trace is even read.
   EXPECT_EQ(run({"analyze", temp_path("msdiag_missing.jsonl"), "--top", "x"}),
             1);

@@ -16,7 +16,6 @@
 #include "prof/profiler.h"
 #include "prof/report.h"
 #include "prof/telemetry_bridge.h"
-#include "sim/engine.h"
 #include "telemetry/metrics.h"
 
 namespace ms::prof {
@@ -413,29 +412,6 @@ TEST_F(ProfTest, ExportProfilePopulatesRegistry) {
   EXPECT_DOUBLE_EQ(samples->value, 10.0);
 }
 
-TEST_F(ProfTest, EngineGaugesExport) {
-  sim::Engine eng;
-  const auto id = eng.at(10, [] {});
-  eng.at(5, [] {});
-  eng.cancel(id);
-  eng.run();
-  telemetry::MetricsRegistry registry;
-  export_engine_gauges(eng, registry);
-  const auto snap = registry.snapshot();
-  const auto* executed = snap.find("engine_events_executed");
-  const auto* cancelled = snap.find("engine_events_cancelled");
-  const auto* depth = snap.find("engine_queue_depth");
-  const auto* peak = snap.find("engine_queue_depth_peak");
-  ASSERT_NE(executed, nullptr);
-  ASSERT_NE(cancelled, nullptr);
-  ASSERT_NE(depth, nullptr);
-  ASSERT_NE(peak, nullptr);
-  EXPECT_DOUBLE_EQ(executed->value, 1.0);
-  EXPECT_DOUBLE_EQ(cancelled->value, 1.0);
-  EXPECT_DOUBLE_EQ(depth->value, 0.0);
-  EXPECT_DOUBLE_EQ(peak->value, 2.0);
-}
-
 TEST_F(ProfTest, ProfileSketchExportsHistograms) {
   set_enabled(true);
   const ScopeId id = register_scope("test.sketched");
@@ -453,16 +429,12 @@ TEST_F(ProfTest, MicroEngineIsDeterministic) {
   cfg.chains = 2;
   cfg.chain_events = 200;
   cfg.fanout_events = 300;
-  cfg.cancel_events = 100;
   const auto a = run_micro_engine(cfg);
   const auto b = run_micro_engine(cfg);
   EXPECT_EQ(a.engine_digest, b.engine_digest);
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.events, 2u * 200u + 300u + 50u);
-  EXPECT_EQ(a.scheduled, 2u * 200u + 300u + 100u);
-  EXPECT_EQ(a.cancelled, 50u);
-  EXPECT_EQ(a.tombstone_pops, 50u);
-  EXPECT_GE(a.peak_queue, 300u);
+  EXPECT_EQ(a.events, 2u * 200u + 300u);
+  EXPECT_EQ(a.peak_queue, 300u);
 }
 
 TEST_F(ProfTest, MicroEngineDigestUnchangedByProfiling) {
@@ -470,7 +442,6 @@ TEST_F(ProfTest, MicroEngineDigestUnchangedByProfiling) {
   cfg.chains = 2;
   cfg.chain_events = 100;
   cfg.fanout_events = 100;
-  cfg.cancel_events = 50;
   ASSERT_FALSE(enabled());
   const auto dormant = run_micro_engine(cfg);
   set_enabled(true);

@@ -173,20 +173,25 @@ inline engine::JobConfig megascale_530b(int gpus, int batch) {
   return cfg;
 }
 
-/// Iteration result folded with a deterministic sample of the production
-/// cluster's machine-speed population (§5.1: stochastic scheduling over a
-/// fleet with ~0.5% slow hosts). Seed fixed so tables are reproducible.
-inline engine::StragglerFold run_with_cluster(const engine::JobConfig& cfg,
-                                              std::uint64_t seed = 0xC1D5) {
-  const auto base = engine::simulate_iteration(cfg);
+/// `base` (an iteration of `cfg`) folded with a deterministic sample of the
+/// production cluster's machine-speed population (§5.1: stochastic
+/// scheduling over a fleet with ~0.5% slow hosts). Seed fixed so tables
+/// are reproducible.
+inline engine::StragglerFold fold_with_cluster(
+    const engine::IterationResult& base, const engine::JobConfig& cfg) {
   engine::StragglerPopulation pop;
   pop.slow_fraction = 0.005;
   pop.slow_factor = 1.10;
   pop.jitter_sigma = 0.01;
-  Rng rng(seed);
+  Rng rng(0xC1D5);
   const int machines = cfg.gpus() / cfg.cluster.gpus_per_node;
   auto speeds = engine::sample_machine_speeds(machines, pop, rng);
   return engine::fold_stragglers(base, cfg, speeds);
+}
+
+/// One simulated iteration of `cfg`, folded with the same sample.
+inline engine::StragglerFold run_with_cluster(const engine::JobConfig& cfg) {
+  return fold_with_cluster(engine::simulate_iteration(cfg), cfg);
 }
 
 }  // namespace ms::bench

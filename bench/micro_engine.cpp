@@ -80,7 +80,7 @@ int main() {
                                          res.peak_queue))});
   std::printf("%s\n", table.to_string().c_str());
   std::printf("engine digest 0x%016llx (must not move with MS_PROF)\n\n",
-              static_cast<unsigned long long>(res.engine_digest));
+              static_cast<unsigned long long>(res.digest));
 
   const prof::MicroEngineConfig cfg;
   bench::BenchReport report("micro_engine");

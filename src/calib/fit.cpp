@@ -7,6 +7,7 @@
 
 #include "calib/lsq.h"
 #include "check/digest.h"
+#include "core/json.h"
 #include "core/table.h"
 #include "parallel/overlap.h"
 #include "parallel/zero.h"
@@ -130,13 +131,7 @@ std::string fmt_g(double v) {
 }
 
 std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
+  return '"' + json::escape(s) + '"';
 }
 
 const char* domain_name(collective::Domain d) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "check/digest.h"
+#include "core/json.h"
 #include "core/table.h"
 #include "diag/blame.h"
 #include "telemetry/metrics.h"
@@ -141,12 +142,7 @@ std::string replay_jsonl(const ReplayResult& r) {
   std::string out = "{\"record\":\"calib_replay\",\"ok\":";
   out += r.ok ? "true" : "false";
   if (!r.error.empty()) {
-    std::string esc;
-    for (char c : r.error) {
-      if (c == '"' || c == '\\') esc += '\\';
-      esc += c;
-    }
-    out += ",\"error\":\"" + esc + "\"";
+    out += ",\"error\":\"" + json::escape(r.error) + "\"";
   }
   out += ",\"trace_step_ns\":" + std::to_string(r.trace_step);
   out += ",\"sim_step_ns\":" + std::to_string(r.sim_step);
@@ -159,7 +155,7 @@ std::string replay_jsonl(const ReplayResult& r) {
   for (std::size_t i = 0; i < r.shares.size(); ++i) {
     const auto& cs = r.shares[i];
     if (i > 0) out += ',';
-    out += "{\"cause\":\"" + cs.cause + "\",\"trace\":" +
+    out += "{\"cause\":\"" + json::escape(cs.cause) + "\",\"trace\":" +
            fmt_g(cs.trace_share) + ",\"sim\":" + fmt_g(cs.sim_share) + "}";
   }
   out += "],\"digest\":\"" + std::to_string(r.digest) + "\"}\n";

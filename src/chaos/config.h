@@ -65,14 +65,6 @@ struct ChaosConfig {
   /// one sweep), so five minutes convicts only a dead path.
   TimeNs detection_grace = minutes(5.0);
 
-  /// Grade pfc_storm / ecmp_rehash faults on congestion localization: each
-  /// such fault additionally runs under a fabric observatory and the
-  /// detector report must name the injected hot link top-1 (counted in
-  /// OutcomeRecord::fabric_*; a storm that raises no fabric alarm counts as
-  /// an undetected fault — a detection hole, same as a dead heartbeat
-  /// path).
-  bool fabric_localization = true;
-
   /// Deliberately weakened recovery path (the seeded canary regression):
   /// heartbeat-timeout detection is disabled, so hung hosts are never
   /// found. Campaigns against the canary must fail and must shrink to the

@@ -16,6 +16,7 @@
 #include "net/ecmp.h"
 #include "net/fabric/detectors.h"
 #include "net/fabric/observatory.h"
+#include "net/fabric/rounds.h"
 #include "net/flap.h"
 #include "net/topology.h"
 #include "telemetry/metrics.h"
@@ -48,18 +49,6 @@ LatencyStats summarize(const Percentiles& samples) {
   return stats;
 }
 
-/// The small Clos fabric the ECMP rehash rounds route over.
-net::ClosParams chaos_fabric() {
-  net::ClosParams p;
-  p.hosts = 32;
-  p.nics_per_host = 2;
-  p.hosts_per_tor = 8;
-  p.pods = 2;
-  p.aggs_per_pod = 2;
-  p.spines_per_plane = 2;
-  return p;
-}
-
 /// PFC storm: one-hop incast pressure scaled by intensity in (0, 1]. Runs
 /// DCQCN — the controller the paper shows letting queues reach the PFC
 /// threshold. Returns the fraction of time the senders were paused.
@@ -80,7 +69,7 @@ struct DriverFaultPlan {
   std::vector<ft::FaultEvent> faults;
 };
 
-/// One graded localization run (see ChaosConfig::fabric_localization).
+/// One graded localization run.
 struct FabricVerdict {
   bool scored = false;       ///< there was a hot link to name
   bool top1_correct = false; ///< the detectors named it first
@@ -93,45 +82,33 @@ struct FabricVerdict {
 /// truth is the chain's last hop — the only queue that congests from its
 /// own service deficit; everything upstream is paused collateral.
 FabricVerdict localize_storm(double intensity, diag::FlightRecorder* flight) {
-  net::MultiCcParams params =
-      net::victim_params(4 + static_cast<int>(12.0 * intensity));
   net::fabric::FabricObservatoryConfig obs_cfg;
   obs_cfg.flight = flight;
   net::fabric::FabricObservatory obs(obs_cfg);
-  params.observatory = &obs;
-  net::run_multi_cc_sim(params, [] { return std::make_unique<net::Dcqcn>(); });
-
-  net::fabric::FabricDetectorConfig det;
-  det.queue_hot_bytes = params.pfc_pause;
-  const auto report = net::fabric::detect_anomalies(obs, det);
+  const auto round = net::fabric::run_storm_round(intensity, &obs);
+  const auto report = net::fabric::detect_anomalies(obs, round.detector);
 
   FabricVerdict verdict;
   verdict.scored = true;
   verdict.alarms = static_cast<int>(report.alarms.size());
   verdict.first_alarm = report.first_alarm;
-  const int truth = obs.find_link(params.observatory_link_prefix +
-                                  std::to_string(params.hops - 1));
+  const int truth = obs.find_link(round.bottleneck);
   verdict.top1_correct = truth >= 0 && report.hottest_link == truth;
   return verdict;
 }
 
-/// Grades an ECMP rehash round: the observatory records every routed flow,
-/// and the detectors must rank a maximally-loaded inter-switch uplink
-/// first. Rounds whose worst uplink carries a single flow have nothing to
-/// localize and are not scored.
+/// Grades an ECMP rehash round the observatory recorded: the detectors
+/// must rank a maximally-loaded inter-switch uplink first. Rounds whose
+/// worst uplink carries a single flow have nothing to localize and are not
+/// scored.
 FabricVerdict localize_rehash(const net::ClosTopology& topo,
-                              const std::vector<net::FlowSpec>& flows,
-                              diag::FlightRecorder* flight) {
-  net::fabric::FabricObservatoryConfig obs_cfg;
-  obs_cfg.flight = flight;
-  net::fabric::FabricObservatory obs(obs_cfg);
-  net::analyze_ecmp(topo, flows, &obs);
-
+                              const net::fabric::RehashRound& round,
+                              const net::fabric::FabricObservatory& obs) {
   // Independent ground truth: per-link loads from the same deterministic
   // router, ordered so ties resolve to the lowest LinkId.
   net::EcmpRouter router(topo);
   std::map<net::LinkId, int> load;
-  for (const auto& flow : flows) {
+  for (const auto& flow : round.flows) {
     for (net::LinkId l : router.route(flow)) ++load[l];
   }
   int max_inter_load = 0;
@@ -147,9 +124,7 @@ FabricVerdict localize_rehash(const net::ClosTopology& topo,
   if (max_inter_load < 2) return verdict;  // no conflict: nothing to name
   verdict.scored = true;
 
-  net::fabric::FabricDetectorConfig det;
-  det.incast_fan_in = 2;  // two elephants on one uplink IS the conflict
-  const auto report = net::fabric::detect_anomalies(obs, det);
+  const auto report = net::fabric::detect_anomalies(obs, round.detector);
   verdict.alarms = static_cast<int>(report.alarms.size());
   verdict.first_alarm = report.first_alarm;
   // Every maximally-loaded uplink is an equally correct answer (ECMP ties
@@ -185,6 +160,22 @@ OutcomeRecord run_schedule(const ChaosConfig& cfg,
   double straggler_factor = 1.0;
   double comm_factor = 1.0;
   DriverFaultPlan plan;
+  // Storms and rehashes are graded on congestion localization: the
+  // detectors must name the injected hot link top-1.
+  const auto grade = [&record](const FabricVerdict& verdict) {
+    if (!verdict.scored) return;
+    ++record.fabric_localizations;
+    record.fabric_alarms += verdict.alarms;
+    if (verdict.top1_correct) ++record.fabric_top1_correct;
+    if (verdict.first_alarm >= 0) {
+      record.fabric_detect_latency =
+          std::max(record.fabric_detect_latency, verdict.first_alarm);
+    } else {
+      // Congestion without one fabric alarm is a detection hole, same
+      // class as a dead heartbeat path.
+      ++record.undetected_faults;
+    }
+  };
 
   for (const auto& fault : schedule) {
     if (cfg.flight != nullptr) {
@@ -235,48 +226,25 @@ OutcomeRecord run_schedule(const ChaosConfig& cfg,
             std::max(record.pfc_pause_fraction, storm_pause);
         const double pause = std::min(storm_pause, 0.9);
         comm_factor = std::max(comm_factor, 1.0 / (1.0 - pause));
-        if (cfg.fabric_localization) {
-          const auto verdict = localize_storm(intensity, cfg.flight);
-          ++record.fabric_localizations;
-          record.fabric_alarms += verdict.alarms;
-          if (verdict.top1_correct) ++record.fabric_top1_correct;
-          if (verdict.first_alarm >= 0) {
-            record.fabric_detect_latency =
-                std::max(record.fabric_detect_latency, verdict.first_alarm);
-          } else {
-            // A storm that congested the fabric without one fabric alarm is
-            // a detection hole, same class as a dead heartbeat path.
-            ++record.undetected_faults;
-          }
-        }
+        grade(localize_storm(intensity, cfg.flight));
         break;
       }
       case FaultKind::kEcmpRehash: {
         // Re-roll every flow's path luck: ring traffic over the fabric
-        // with labels derived from this rehash round.
-        static const net::ClosTopology topo(chaos_fabric());
+        // with labels derived from this rehash round. The observatory is
+        // passive, so the observed report is the bare analysis.
+        static const net::ClosTopology topo(net::fabric::small_clos());
         Rng rng(derive_seed(seed, "chaos.ecmp",
                             static_cast<std::uint64_t>(fault.node)));
-        auto flows = net::ring_traffic(topo, 16, /*pack_under_tor=*/false, rng);
-        const auto report = net::analyze_ecmp(topo, flows);
-        record.ecmp_conflict_fraction =
-            std::max(record.ecmp_conflict_fraction, report.conflict_fraction);
-        const double tput = std::max(report.mean_throughput_frac, 0.1);
+        net::fabric::FabricObservatoryConfig obs_cfg;
+        obs_cfg.flight = cfg.flight;
+        net::fabric::FabricObservatory obs(obs_cfg);
+        const auto round = net::fabric::run_rehash_round(topo, rng, obs);
+        record.ecmp_conflict_fraction = std::max(
+            record.ecmp_conflict_fraction, round.report.conflict_fraction);
+        const double tput = std::max(round.report.mean_throughput_frac, 0.1);
         comm_factor = std::max(comm_factor, 1.0 / tput);
-        if (cfg.fabric_localization) {
-          const auto verdict = localize_rehash(topo, flows, cfg.flight);
-          if (verdict.scored) {
-            ++record.fabric_localizations;
-            record.fabric_alarms += verdict.alarms;
-            if (verdict.top1_correct) ++record.fabric_top1_correct;
-            if (verdict.first_alarm >= 0) {
-              record.fabric_detect_latency =
-                  std::max(record.fabric_detect_latency, verdict.first_alarm);
-            } else {
-              ++record.undetected_faults;
-            }
-          }
-        }
+        grade(localize_rehash(topo, round, obs));
         break;
       }
     }

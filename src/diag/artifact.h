@@ -19,8 +19,8 @@ namespace ms::diag {
 /// on IO failure.
 bool write_text_file(const std::string& path, const std::string& content);
 
-/// Largest file read_text_file accepts: 256 MiB, about 90x the largest
-/// artifact any bench writes (the 2.7 MB fig11_step_trace.json). The cap
+/// Largest file read_text_file accepts: 256 MiB, about 200x the largest
+/// artifact any bench writes (the 1.4 MB fig11_step_trace.json). The cap
 /// turns an endless or huge input (/dev/zero, a runaway pipe) into an
 /// error instead of an out-of-memory abort.
 inline constexpr std::uintmax_t kMaxTextFileBytes = std::uintmax_t{256} << 20;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -11,10 +10,9 @@
 #include "core/rng.h"
 #include "diag/artifact.h"
 #include "diag/timeline.h"
-#include "net/ccsim_multi.h"
-#include "net/ecmp.h"
 #include "net/fabric/detectors.h"
 #include "net/fabric/observatory.h"
+#include "net/fabric/rounds.h"
 #include "net/topology.h"
 
 namespace ms::net::fabric {
@@ -35,38 +33,15 @@ struct FabricCliOptions {
   int top = 8;
 };
 
-/// The same small Clos fabric the chaos ECMP rounds route over.
-ClosParams cli_fabric() {
-  ClosParams p;
-  p.hosts = 32;
-  p.nics_per_host = 2;
-  p.hosts_per_tor = 8;
-  p.pods = 2;
-  p.aggs_per_pod = 2;
-  p.spines_per_plane = 2;
-  return p;
-}
-
-/// Runs the selected scenario into `obs` and returns the tuned detector
-/// config (storms localize against the sim's PFC threshold; rehash rounds
-/// treat two elephants on one uplink as the conflict).
+/// Runs the selected round into `obs` and returns its detector config.
 FabricDetectorConfig run_scenario(const FabricCliOptions& opt,
                                   FabricObservatory& obs) {
-  FabricDetectorConfig det;
   if (opt.scenario == "storm") {
-    MultiCcParams params =
-        victim_params(4 + static_cast<int>(12.0 * opt.intensity));
-    params.observatory = &obs;
-    run_multi_cc_sim(params, [] { return std::make_unique<Dcqcn>(); });
-    det.queue_hot_bytes = params.pfc_pause;
-  } else {
-    const ClosTopology topo(cli_fabric());
-    Rng rng(derive_seed(opt.seed, "fabric.cli"));
-    const auto flows = ring_traffic(topo, 16, /*pack_under_tor=*/false, rng);
-    analyze_ecmp(topo, flows, &obs);
-    det.incast_fan_in = 2;
+    return run_storm_round(opt.intensity, &obs).detector;
   }
-  return det;
+  const ClosTopology topo(small_clos());
+  Rng rng(derive_seed(opt.seed, "fabric.cli"));
+  return run_rehash_round(topo, rng, obs).detector;
 }
 
 int cmd_top(const FabricCliOptions& opt, const FabricObservatory& obs,

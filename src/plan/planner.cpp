@@ -12,6 +12,7 @@
 #include "core/table.h"
 #include "net/ecmp.h"
 #include "net/topology.h"
+#include "prof/profiler.h"
 
 namespace ms::plan {
 
@@ -188,6 +189,7 @@ double fabric_network_efficiency(int gpus) {
     if (it != cache->end()) return it->second;
   }
 
+  MS_PROF_SCOPE("plan.fabric_network_efficiency");
   net::ClosParams p;
   p.hosts = std::max(16, gpus / 8);
   p.nics_per_host = 8;

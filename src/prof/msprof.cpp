@@ -1,46 +1,79 @@
 #include "prof/msprof.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <ostream>
 
 #include "bench/common.h"
+#include "check/digest.h"
 #include "core/flags.h"
 #include "core/rng.h"
 #include "core/table.h"
-#include "core/time.h"
 #include "core/wallclock.h"
 #include "diag/artifact.h"
-#include "engine/job.h"
-#include "ft/workflow.h"
-#include "net/ccsim_multi.h"
 #include "net/fabric/observatory.h"
+#include "net/fabric/rounds.h"
 #include "prof/profiler.h"
 #include "prof/report.h"
 #include "prof/telemetry_bridge.h"
 #include "sim/engine.h"
-#include "telemetry/aggregator.h"
+#include "telemetry/dashboard.h"
 #include "telemetry/exporters.h"
-#include "telemetry/ledger.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sketch.h"
+#include "telemetry/trace.h"
 
 namespace ms::prof {
 
 namespace {
 
-// Figure-11 shape (mirrors bench/fig11_production_run.cpp).
-constexpr int kFig11Gpus = 12288;
-constexpr int kFig11Batch = 6144;
-
 WorkloadResult result_from(const sim::Engine& eng) {
   WorkloadResult r;
   r.events = eng.executed();
   r.peak_queue = eng.peak_queue_size();
-  r.engine_digest = eng.digest();
+  r.digest = eng.digest();
   return r;
+}
+
+/// Production-shaped chaos schedule: the ft fail-stop draw plus the event
+/// classes the workflow does not model itself (extra checkpoint-writer
+/// stalls, fabric link flaps, silent straggler windows).
+chaos::FaultSchedule build_schedule(const std::vector<ft::FaultEvent>& fails,
+                                    Rng& rng) {
+  using chaos::FaultKind;
+  chaos::FaultSchedule sched;
+  for (const auto& f : fails) {
+    sched.push_back({.at = f.at, .kind = FaultKind::kFailStop,
+                     .node = f.node, .fail_type = f.type});
+  }
+  // Checkpoint-writer stalls: HDFS hiccups every ~4-5 days (§4.4).
+  for (TimeNs t = hours(30.0); t < kFig11Duration;
+       t += hours(96.0) + seconds(rng.uniform(0.0, 24.0 * 3600.0))) {
+    sched.push_back({.at = t, .kind = FaultKind::kCkptStall,
+                     .duration = minutes(rng.uniform(1.0, 4.0))});
+  }
+  // Fabric link flaps: short stalls while routing converges (§3.6).
+  for (TimeNs t = hours(12.0); t < kFig11Duration;
+       t += hours(110.0) + seconds(rng.uniform(0.0, 36.0 * 3600.0))) {
+    sched.push_back({.at = t, .kind = FaultKind::kLinkFlap,
+                     .node = static_cast<int>(rng.next_u64() % 1536),
+                     .duration = seconds(rng.uniform(30.0, 300.0))});
+  }
+  // Silent stragglers: one slow machine derates the whole job until the
+  // §5.1 monitor catches it (~4 h observation window).
+  for (TimeNs t = days(5.0); t < kFig11Duration - hours(6.0);
+       t += days(8.0) + seconds(rng.uniform(0.0, 3.0 * 24.0 * 3600.0))) {
+    sched.push_back({.at = t, .kind = FaultKind::kStraggler,
+                     .node = static_cast<int>(rng.next_u64() % 1536),
+                     .duration = hours(4.0),
+                     .magnitude = rng.uniform(0.08, 0.20)});
+  }
+  chaos::sort_schedule(sched);
+  return sched;
 }
 
 }  // namespace
@@ -84,63 +117,99 @@ WorkloadResult run_micro_engine(const MicroEngineConfig& cfg) {
   return result_from(eng);
 }
 
-WorkloadResult run_fig11_step() {
+SteadyStep run_steady_step(engine::JobConfig job) {
   MS_PROF_SCOPE("fig11.steady_step");
-  auto job = bench::megascale_175b(kFig11Gpus, kFig11Batch);
-  const auto fold = bench::run_with_cluster(job);
-  (void)fold;
-  return {};
+  telemetry::Tracer tracer;
+  job.tracer = &tracer;
+  SteadyStep step;
+  step.base = engine::simulate_iteration(job);
+  step.fold = bench::fold_with_cluster(step.base, job);
+  step.trace = tracer.spans();
+  return step;
 }
 
-WorkloadResult run_fig11_production() {
-  const TimeNs duration = days(56.0);
-  const TimeNs mtbf = hours(9.0);
+Fig11Result run_fig11_pipeline() {
+  Fig11Result r;
   telemetry::MetricsRegistry registry;
 
-  engine::JobConfig job;
-  engine::StragglerFold fold;
+  auto job = bench::megascale_175b(kFig11Gpus, kFig11Batch);
+  job.metrics = &registry;
+  r.step = run_steady_step(job);
   {
-    MS_PROF_SCOPE("fig11.steady_step");
-    job = bench::megascale_175b(kFig11Gpus, kFig11Batch);
-    job.metrics = &registry;
-    fold = bench::run_with_cluster(job);
+    MS_PROF_SCOPE("fig11.diagnosis");
+    r.diagnosis = diag::analyze_spans(r.step.trace);
   }
 
   ft::WorkflowConfig wf;
+  wf.nodes = kFig11Gpus / 8;
+  wf.metrics = &registry;
   std::vector<ft::FaultEvent> fails;
   {
     MS_PROF_SCOPE("fig11.fault_schedule");
-    wf.nodes = kFig11Gpus / 8;
-    wf.metrics = &registry;
     Rng fault_rng(0xF11);
-    fails = ft::draw_fault_schedule(duration, mtbf, wf.nodes,
+    fails = ft::draw_fault_schedule(kFig11Duration, kFig11Mtbf, wf.nodes,
                                     ft::default_fault_mix(), fault_rng);
   }
-
-  ft::RunReport report;
+  {
+    MS_PROF_SCOPE("fig11.chaos_overlay");
+    Rng chaos_rng(0xF14);
+    r.schedule = build_schedule(fails, chaos_rng);
+  }
   {
     MS_PROF_SCOPE("fig11.ft_replay");
     Rng run_rng(0xF12);
-    report = ft::run_robust_training(wf, duration, fails, run_rng);
+    r.report = ft::run_robust_training(wf, kFig11Duration, fails, run_rng);
   }
 
+  // The run ledger: Figure 11 as a time series.
   {
     MS_PROF_SCOPE("fig11.ledger");
     telemetry::LedgerConfig lcfg;
-    lcfg.duration = duration;
+    lcfg.duration = kFig11Duration;
     lcfg.interval = hours(6.0);
     telemetry::RunLedger ledger(lcfg);
     telemetry::SteadyState steady;
-    steady.step_time = fold.iteration_time;
-    steady.mfu = fold.mfu;
+    steady.step_time = r.step.fold.iteration_time;
+    steady.mfu = r.step.fold.mfu;
     steady.tokens_per_second =
-        job.tokens_per_iteration() / to_seconds(fold.iteration_time);
+        job.tokens_per_iteration() / to_seconds(r.step.fold.iteration_time);
     ledger.set_steady_state(steady);
-    ledger.ingest(report, wf.checkpoint_interval);
-    const auto series = ledger.finalize();
-    (void)series;
+    ledger.ingest(r.report, wf.checkpoint_interval);
+    ledger.record_step_diagnosis(r.diagnosis);
+    for (const auto& inj : r.schedule) {
+      switch (inj.kind) {
+        case chaos::FaultKind::kCkptStall:
+          ledger.add_lost(inj.at, inj.duration,
+                          telemetry::LostCause::kCkptStall);
+          r.overlay_stall += inj.duration;
+          break;
+        case chaos::FaultKind::kLinkFlap:
+          ledger.add_lost(inj.at, inj.duration,
+                          telemetry::LostCause::kFabricStall);
+          r.overlay_stall += inj.duration;
+          break;
+        case chaos::FaultKind::kStraggler:
+          ledger.add_slowdown(inj.at, inj.at + inj.duration,
+                              1.0 + inj.magnitude,
+                              telemetry::LostCause::kStraggler);
+          break;
+        default:
+          break;  // fail-stops went through the ft replay
+      }
+    }
+    r.series = ledger.finalize();
   }
 
+  {
+    MS_PROF_SCOPE("fig11.dashboard");
+    telemetry::TrainingDashboard dashboard(&registry);
+    dashboard.record_step(job, r.step.base);
+    dashboard.record_diagnosis(r.diagnosis);
+    dashboard.record_health(r.report);
+    r.dashboard = dashboard.report();
+  }
+
+  // What does observing all this cost?
   {
     MS_PROF_SCOPE("fig11.agg_tree");
     telemetry::AggTreeConfig acfg;
@@ -150,23 +219,31 @@ WorkloadResult run_fig11_production() {
     acfg.cluster = job.cluster;
     acfg.network_efficiency = job.network_efficiency;
     telemetry::AggregationTree tree(acfg);
+    r.hosts = tree.hosts();
+    r.pods = tree.pods();
+    r.flush_interval = acfg.flush_interval;
     const auto rank_sketch =
         telemetry::SketchSnapshot::from(registry.snapshot());
-    // Mirror the bench: the host leader rank ships the fabric observatory
-    // sketch next to its rank metrics (see bench/fig11_production_run.cpp).
+    r.rank_sketch_bytes = rank_sketch.encoded_bytes();
+    // Each host's NIC daemon exports its local fabric series (per-link
+    // utilization, queue depth, ECN and PFC counters from net/fabric)
+    // alongside the rank metrics; a storm-shaped multi-hop run stands in
+    // for one host's worth of link samples. The fabric sketch rides the
+    // host leader rank's submission, so fabric sampling is charged against
+    // the same <1% observability-overhead gate as everything else.
     net::fabric::FabricObservatory fabric_obs;
-    net::MultiCcParams fparams = net::victim_params(8);
-    fparams.observatory = &fabric_obs;
-    net::run_multi_cc_sim(fparams,
-                          [] { return std::make_unique<net::Dcqcn>(); });
+    net::fabric::run_storm_round(1.0 / 3.0, &fabric_obs);  // 8 senders
+    const auto fabric_sketch = fabric_obs.sketch();
+    r.fabric_links = fabric_obs.link_count();
+    r.fabric_series = fabric_sketch.size();
+    r.fabric_sketch_bytes = fabric_sketch.encoded_bytes();
     auto leader_sketch = rank_sketch;
-    leader_sketch.merge(fabric_obs.sketch());
-    for (int r = 0; r < acfg.ranks; ++r) {
-      tree.submit(
-          r, r % acfg.ranks_per_host == 0 ? leader_sketch : rank_sketch);
+    leader_sketch.merge(fabric_sketch);
+    for (int rank = 0; rank < acfg.ranks; ++rank) {
+      tree.submit(rank, rank % acfg.ranks_per_host == 0 ? leader_sketch
+                                                        : rank_sketch);
     }
-    const auto flush = tree.flush();
-    (void)flush;
+    r.flush = tree.flush();
     // Steady-state flush intervals after the cold full flush: a rank only
     // re-submits when its sketch content changed, so each interval sees a
     // sparse dirty set (1/32 of hosts here) and the tree's dirty-subtree
@@ -175,11 +252,18 @@ WorkloadResult run_fig11_production() {
       for (int host = interval % 32; host < tree.hosts(); host += 32) {
         tree.submit(host * acfg.ranks_per_host, leader_sketch);
       }
-      const auto inc = tree.flush();
-      (void)inc;
+      r.sparse.push_back(tree.flush());
     }
+
+    check::Digest d;
+    d.fold(r.series.digest);
+    d.fold(tree.root().digest());
+    d.fold(r.diagnosis.digest);
+    d.fold(chaos::schedule_digest(r.schedule));
+    d.fold(static_cast<std::int64_t>(r.report.restarts));
+    r.digest = d.value();
   }
-  return {};
+  return r;
 }
 
 std::vector<std::string> workload_names() {
@@ -187,19 +271,22 @@ std::vector<std::string> workload_names() {
 }
 
 bool run_workload(const std::string& name, WorkloadResult& out) {
+  out = {};
   if (name == "micro_engine") {
     out = run_micro_engine();
-    return true;
+  } else if (name == "fig11_step") {
+    const SteadyStep step =
+        run_steady_step(bench::megascale_175b(kFig11Gpus, kFig11Batch));
+    check::Digest d;
+    d.fold(step.fold.iteration_time);
+    d.fold(std::bit_cast<std::uint64_t>(step.fold.mfu));
+    out.digest = d.value();
+  } else if (name == "fig11_production_run") {
+    out.digest = run_fig11_pipeline().digest;
+  } else {
+    return false;
   }
-  if (name == "fig11_step") {
-    out = run_fig11_step();
-    return true;
-  }
-  if (name == "fig11_production_run") {
-    out = run_fig11_production();
-    return true;
-  }
-  return false;
+  return true;
 }
 
 namespace {
@@ -382,14 +469,14 @@ int overhead_main(const std::vector<std::string>& args, std::ostream& out,
     WallNs t0 = wallclock_ns();
     run_workload(workload, result);
     best_off = std::min(best_off, wallclock_ns() - t0);
-    digest_off = result.engine_digest;
+    digest_off = result.digest;
 
     set_enabled(true);
     reset();
     t0 = wallclock_ns();
     run_workload(workload, result);
     best_on = std::min(best_on, wallclock_ns() - t0);
-    digest_on = result.engine_digest;
+    digest_on = result.digest;
   }
   set_enabled(false);
 
@@ -405,17 +492,20 @@ int overhead_main(const std::vector<std::string>& args, std::ostream& out,
       << Table::fmt(static_cast<double>(best_on) / kNsPerMs, 2) << " ms | "
       << "overhead " << Table::fmt_pct(overhead, 2) << " (budget "
       << Table::fmt_pct(budget, 2) << ")\n";
+  if (digest_off == 0) {
+    err << "msprof: FAIL — workload " << workload
+        << " returned digest 0, so there is nothing to compare\n";
+    return 1;
+  }
   if (digest_off != digest_on) {
-    err << "msprof: FAIL — engine digest changed with profiling enabled "
+    err << "msprof: FAIL — workload digest changed with profiling enabled "
            "(0x"
         << std::hex << digest_off << " vs 0x" << digest_on << std::dec
         << ")\n";
     return 1;
   }
-  if (digest_off != 0) {
-    out << "  engine digest identical with profiling on/off (0x" << std::hex
-        << digest_off << std::dec << ")\n";
-  }
+  out << "  workload digest identical with profiling on/off (0x" << std::hex
+      << digest_off << std::dec << ")\n";
   if (overhead > budget) {
     err << "msprof: FAIL — overhead " << Table::fmt_pct(overhead, 2)
         << " exceeds budget " << Table::fmt_pct(budget, 2) << "\n";

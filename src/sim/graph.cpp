@@ -19,7 +19,7 @@ OpId GraphExecutor::add_op(OpSpec spec) {
         "GraphExecutor::add_op: stream " + std::to_string(spec.stream) +
         " outside [0, " + std::to_string(streams_.size()) + ")");
   }
-  const OpId id = static_cast<OpId>(specs_.size());
+  const OpId id = static_cast<OpId>(records_.size());
   OpRecord rec;
   rec.id = id;
   rec.name = std::move(spec.name);
@@ -27,7 +27,8 @@ OpId GraphExecutor::add_op(OpSpec spec) {
   rec.detail = std::move(spec.detail);
   rec.stream = spec.stream;
   records_.push_back(std::move(rec));
-  specs_.push_back(std::move(spec));
+  durations_.push_back(spec.duration);
+  priorities_.push_back(spec.priority);
   dependents_.emplace_back();
   indegree_.push_back(0);
   return id;
@@ -36,10 +37,10 @@ OpId GraphExecutor::add_op(OpSpec spec) {
 void GraphExecutor::add_dep(OpId before, OpId after) {
   if (ran_) throw std::logic_error("GraphExecutor::add_dep after run()");
   for (const OpId id : {before, after}) {
-    if (id < 0 || static_cast<std::size_t>(id) >= specs_.size()) {
+    if (id < 0 || static_cast<std::size_t>(id) >= records_.size()) {
       throw std::invalid_argument("GraphExecutor::add_dep: op " +
                                   std::to_string(id) + " outside [0, " +
-                                  std::to_string(specs_.size()) + ")");
+                                  std::to_string(records_.size()) + ")");
     }
   }
   if (before == after) {
@@ -55,10 +56,10 @@ TimeNs GraphExecutor::run(Engine& engine) {
   ran_ = true;
   start_time_ = engine.now();
   finish_time_ = start_time_;
-  remaining_ = specs_.size();
+  remaining_ = records_.size();
   if (remaining_ == 0) return 0;
 
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
+  for (std::size_t i = 0; i < records_.size(); ++i) {
     if (indegree_[i] == 0) on_ready(engine, static_cast<OpId>(i));
   }
   engine.run();
@@ -71,13 +72,13 @@ TimeNs GraphExecutor::run(Engine& engine) {
 }
 
 void GraphExecutor::on_ready(Engine& engine, OpId id) {
-  const auto& spec = specs_[static_cast<std::size_t>(id)];
-  auto& stream = streams_[static_cast<std::size_t>(spec.stream)];
-  stream.ready.push(ReadyEntry{spec.priority, id});
+  const auto i = static_cast<std::size_t>(id);
+  const StreamId sid = records_[i].stream;
+  streams_[static_cast<std::size_t>(sid)].ready.push(
+      ReadyEntry{priorities_[i], id});
   // Defer the issue decision to the end of the current timestamp so that all
   // ops becoming ready "simultaneously" are in the queue before the stream
   // picks by priority.
-  const StreamId sid = spec.stream;
   engine.after(0, [this, &engine, sid] { try_issue(engine, sid); });
 }
 
@@ -88,21 +89,20 @@ void GraphExecutor::try_issue(Engine& engine, StreamId s) {
   stream.ready.pop();
   stream.busy_now = true;
 
-  auto& spec = specs_[static_cast<std::size_t>(id)];
-  auto& rec = records_[static_cast<std::size_t>(id)];
-  rec.start = engine.now();
-  assert(spec.duration >= 0);
-  engine.after(spec.duration,
+  const TimeNs duration = durations_[static_cast<std::size_t>(id)];
+  records_[static_cast<std::size_t>(id)].start = engine.now();
+  assert(duration >= 0);
+  engine.after(duration,
                [this, &engine, id] { on_op_finished(engine, id); });
 }
 
 void GraphExecutor::on_op_finished(Engine& engine, OpId id) {
-  auto& spec = specs_[static_cast<std::size_t>(id)];
   auto& rec = records_[static_cast<std::size_t>(id)];
   rec.end = engine.now();
   finish_time_ = std::max(finish_time_, rec.end);
 
-  auto& stream = streams_[static_cast<std::size_t>(spec.stream)];
+  const StreamId sid = rec.stream;
+  auto& stream = streams_[static_cast<std::size_t>(sid)];
   stream.busy_now = false;
   stream.busy += rec.end - rec.start;
 
@@ -112,7 +112,7 @@ void GraphExecutor::on_op_finished(Engine& engine, OpId id) {
     }
   }
   --remaining_;
-  try_issue(engine, spec.stream);
+  try_issue(engine, sid);
 }
 
 }  // namespace ms::sim

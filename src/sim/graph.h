@@ -95,7 +95,9 @@ class GraphExecutor {
   void try_issue(Engine& engine, StreamId s);
   void on_op_finished(Engine& engine, OpId id);
 
-  std::vector<OpSpec> specs_;  // name, tag and detail moved to records_
+  // Per op: the executor reads only these and records_[id].stream.
+  std::vector<TimeNs> durations_;
+  std::vector<int> priorities_;
   std::vector<OpRecord> records_;
   std::vector<std::vector<OpId>> dependents_;
   std::vector<int> indegree_;

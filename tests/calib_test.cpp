@@ -844,6 +844,34 @@ TEST(CalibGolden, CliCalibratesTheKinetoFixture) {
   EXPECT_EQ(calib::calibrate_main({path}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("events skipped"), std::string::npos);
   EXPECT_NE(out.str().find("Replay validation"), std::string::npos);
+
+  // The same fixture with its first span renamed "fwd\nkernel": --json
+  // must still print one parseable record per line, worst_span included.
+  std::string text;
+  ASSERT_TRUE(diag::read_text_file(path, text));
+  const std::string name = "\"name\": \"fwd\"";
+  const auto at = text.find(name);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, name.size(), "\"name\": \"fwd\\nkernel\"");
+  const std::string renamed = temp_path("calib_kineto_newline.json");
+  ASSERT_TRUE(diag::write_text_file(renamed, text));
+  std::ostringstream json_out, json_err;
+  EXPECT_EQ(calib::calibrate_main({renamed, "--json"}, json_out, json_err), 0)
+      << json_err.str();
+  std::istringstream lines(json_out.str());
+  std::string line;
+  int records = 0;
+  bool saw_renamed = false;
+  while (std::getline(lines, line)) {
+    json::Value record;
+    std::size_t offset = 0;
+    EXPECT_TRUE(json::parse(line, record, &offset))
+        << "byte " << offset << ": " << line;
+    ++records;
+    if (line.find("fwd\\nkernel") != std::string::npos) saw_renamed = true;
+  }
+  EXPECT_GT(records, 1);
+  EXPECT_TRUE(saw_renamed) << json_out.str();
 }
 
 }  // namespace

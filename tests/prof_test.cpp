@@ -11,7 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "bench/common.h"
 #include "core/wallclock.h"
+#include "engine/job.h"
 #include "prof/msprof.h"
 #include "prof/profiler.h"
 #include "prof/report.h"
@@ -431,7 +433,7 @@ TEST_F(ProfTest, MicroEngineIsDeterministic) {
   cfg.fanout_events = 300;
   const auto a = run_micro_engine(cfg);
   const auto b = run_micro_engine(cfg);
-  EXPECT_EQ(a.engine_digest, b.engine_digest);
+  EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.events, 2u * 200u + 300u);
   EXPECT_EQ(a.peak_queue, 300u);
@@ -447,7 +449,7 @@ TEST_F(ProfTest, MicroEngineDigestUnchangedByProfiling) {
   set_enabled(true);
   set_tracing(true);
   const auto profiled = run_micro_engine(cfg);
-  EXPECT_EQ(dormant.engine_digest, profiled.engine_digest);
+  EXPECT_EQ(dormant.digest, profiled.digest);
   EXPECT_EQ(dormant.events, profiled.events);
 #if defined(MS_PROF_ENABLED) && MS_PROF_ENABLED
   // And the profiled run actually measured something.
@@ -467,6 +469,33 @@ TEST_F(ProfTest, RunWorkloadByName) {
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "fig11_production_run"),
             names.end());
+  // Every workload folds its outputs into a nonzero digest, so `msprof
+  // overhead` has something to compare with profiling on and off.
+  ASSERT_TRUE(run_workload("fig11_step", result));
+  EXPECT_NE(result.digest, 0u);
+  WorkloadResult again;
+  ASSERT_TRUE(run_workload("fig11_step", again));
+  EXPECT_EQ(again.digest, result.digest);
+}
+
+// The Figure-11 pipeline's steady-step phase (the full pipeline needs ~6 GB
+// and runs under CI's `msprof overhead` instead).
+TEST_F(ProfTest, SteadyStepTracesEachOpOnceAndFoldsThatResult) {
+  const engine::JobConfig job = bench::megascale_175b(128, 64);
+  ASSERT_EQ(engine::validate(job), "");
+  const SteadyStep step = run_steady_step(job);
+  ASSERT_FALSE(step.base.spans.empty());
+  ASSERT_EQ(step.trace.size(), step.base.spans.size());
+  for (std::size_t i = 0; i < step.trace.size(); ++i) {
+    EXPECT_EQ(step.trace[i].name, step.base.spans[i].name) << i;
+    EXPECT_EQ(step.trace[i].start, step.base.spans[i].start) << i;
+    EXPECT_EQ(step.trace[i].end, step.base.spans[i].end) << i;
+  }
+  const engine::StragglerFold want = bench::run_with_cluster(job);
+  EXPECT_EQ(step.fold.iteration_time, want.iteration_time);
+  EXPECT_EQ(step.fold.mfu, want.mfu);
+  EXPECT_EQ(step.fold.worst_factor, want.worst_factor);
+  EXPECT_EQ(step.fold.slow_machines, want.slow_machines);
 }
 
 // ------------------------------------------------------------ msprof CLI

@@ -9,6 +9,7 @@
 #include <map>
 #include <string>
 
+#include "check/audit.h"
 #include "check/digest.h"
 #include "core/json.h"
 #include "engine/job.h"
@@ -69,16 +70,31 @@ class BenchReport {
     return out;
   }
 
-  /// Writes BENCH_<name>.json in the current directory; returns success.
+  /// Writes BENCH_<name>.json in the current directory. Returns false if
+  /// the file cannot be written or if any MS_AUDIT invariant failed during
+  /// the run; each failed invariant is printed as a GATE FAIL line.
   bool write() const {
     const std::string path = "BENCH_" + name_ + ".json";
     std::ofstream out(path);
     if (!out) return false;
     out << to_json() << '\n';
-    return static_cast<bool>(out);
+    return static_cast<bool>(out) && audit_clean();
   }
 
  private:
+  static bool audit_clean() {
+    const check::Auditor& auditor = check::Auditor::instance();
+    if (auditor.violations() == 0) return true;
+    std::fprintf(stderr, "GATE FAIL: %llu MS_AUDIT violations\n",
+                 static_cast<unsigned long long>(auditor.violations()));
+    for (const check::Violation& v : auditor.snapshot()) {
+      std::fprintf(stderr, "  %s/%s x%llu: %s\n", v.domain.c_str(),
+                   v.invariant.c_str(),
+                   static_cast<unsigned long long>(v.count), v.message.c_str());
+    }
+    return false;
+  }
+
   static std::string fmt_number(double v) {
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);

@@ -11,7 +11,6 @@
 #include "core/table.h"
 #include "parallel/overlap.h"
 #include "parallel/zero.h"
-#include "telemetry/metrics.h"
 
 namespace ms::calib {
 
@@ -500,32 +499,6 @@ std::string report_jsonl(const CalibrationReport& report) {
     out += "}\n";
   }
   return out;
-}
-
-void export_metrics(const CalibrationReport& report,
-                    telemetry::MetricsRegistry& metrics) {
-  metrics.gauge("calib_fit_ok").set(report.ok ? 1.0 : 0.0);
-  metrics.gauge("calib_fit_rel_rms").set(report.fit_rel_rms);
-  metrics.gauge("calib_spans_fitted")
-      .set(static_cast<double>(report.spans_fitted));
-  metrics.gauge("calib_spans_total")
-      .set(static_cast<double>(report.spans_total));
-  if (report.ops.fitted) {
-    metrics.gauge("calib_gemm_efficiency").set(report.ops.gemm_efficiency);
-    metrics.gauge("calib_attention_efficiency")
-        .set(report.ops.attention_efficiency);
-    metrics.gauge("calib_memory_efficiency").set(report.ops.memory_efficiency);
-  }
-  for (const auto& f : report.coll) {
-    if (!f.fitted) continue;
-    const telemetry::Labels labels{{"domain", domain_name(f.domain)}};
-    metrics.gauge("calib_alpha_seconds", labels).set(to_seconds(f.alpha));
-    metrics.gauge("calib_bandwidth_gbps", labels).set(to_gbps(f.bandwidth));
-  }
-  for (const auto& r : report.residuals) {
-    metrics.gauge("calib_residual", {{"class", r.cls}})
-        .set(r.fitted ? r.rel_rms : -1.0);
-  }
 }
 
 }  // namespace ms::calib

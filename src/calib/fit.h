@@ -25,10 +25,6 @@
 #include "diag/timeline.h"
 #include "engine/job.h"
 
-namespace ms::telemetry {
-class MetricsRegistry;
-}  // namespace ms::telemetry
-
 namespace ms::calib {
 
 struct OperatorFit {
@@ -105,10 +101,5 @@ std::string report_table(const CalibrationReport& report);
 /// Machine-readable JSONL: one `calib_params` line, one `calib_residual`
 /// line per class (the artifact CI uploads).
 std::string report_jsonl(const CalibrationReport& report);
-
-/// Exports `calib_residual{class=...}` gauges and fit summary gauges into
-/// a metrics registry.
-void export_metrics(const CalibrationReport& report,
-                    telemetry::MetricsRegistry& metrics);
 
 }  // namespace ms::calib

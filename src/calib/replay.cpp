@@ -8,7 +8,6 @@
 #include "core/json.h"
 #include "core/table.h"
 #include "diag/blame.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace ms::calib {
@@ -160,19 +159,6 @@ std::string replay_jsonl(const ReplayResult& r) {
   }
   out += "],\"digest\":\"" + std::to_string(r.digest) + "\"}\n";
   return out;
-}
-
-void export_metrics(const ReplayResult& r,
-                    telemetry::MetricsRegistry& metrics) {
-  metrics.gauge("calib_replay_ok").set(r.ok ? 1.0 : 0.0);
-  metrics.gauge("calib_replay_error").set(r.rel_error);
-  metrics.gauge("calib_replay_within_tolerance")
-      .set(r.within_tolerance ? 1.0 : 0.0);
-  metrics.gauge("calib_replay_max_share_delta").set(r.max_share_delta);
-  for (const auto& cs : r.shares) {
-    metrics.gauge("calib_replay_share_delta", {{"cause", cs.cause}})
-        .set(cs.delta());
-  }
 }
 
 }  // namespace ms::calib

@@ -18,10 +18,6 @@
 #include "diag/timeline.h"
 #include "engine/job.h"
 
-namespace ms::telemetry {
-class MetricsRegistry;
-}  // namespace ms::telemetry
-
 namespace ms::calib {
 
 /// Per-cause share of the critical path on both sides of the replay.
@@ -60,8 +56,5 @@ std::string replay_table(const ReplayResult& r);
 
 /// One `calib_replay` JSONL record.
 std::string replay_jsonl(const ReplayResult& r);
-
-/// Exports `calib_replay_error` and per-cause share deltas as gauges.
-void export_metrics(const ReplayResult& r, telemetry::MetricsRegistry& metrics);
 
 }  // namespace ms::calib

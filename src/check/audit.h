@@ -9,12 +9,12 @@
 //   MS_AUDIT("sim.engine", "time_monotonic", e.t >= now_,
 //            "event scheduled into the past");
 //
-// Violations never abort by default — they are tallied per
-// (domain, invariant) in a process-wide Auditor and surfaced through a
-// pluggable sink (see metrics_sink.h for the telemetry bridge), so a CI
-// job or a test can assert `Auditor::instance().violations() == 0` after
-// any scenario, and a production-style run exports them as labeled
-// counters next to MFU and comm time.
+// Violations never abort: they are tallied per (domain, invariant) in a
+// process-wide Auditor. A test asserts `Auditor::instance().violations()
+// == 0` after its scenario, and every bench binary does the same when it
+// writes its artifact: `bench::BenchReport::write()` prints one
+// `GATE FAIL` line per failed invariant and returns false, so the bench
+// exits 1.
 //
 // The whole layer compiles out: configure with -DMS_AUDIT=OFF and every
 // MS_AUDIT expands to a dead cast — no branches, no message formatting,
@@ -22,13 +22,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 namespace ms::check {
 
-/// One failed invariant, as delivered to sinks and snapshots.
+/// One failed invariant, as returned by snapshot().
 struct Violation {
   std::string domain;     // subsystem, e.g. "net.flowsim"
   std::string invariant;  // invariant name, e.g. "byte_conservation"
@@ -36,12 +35,9 @@ struct Violation {
   std::uint64_t count = 0;  // failures of this (domain, invariant) so far
 };
 
-/// Called on every violation (after tallying). May run on any thread.
-using ViolationSink = std::function<void(const Violation&)>;
-
 /// Process-wide tally of audit evaluations and failures. Thread-safe:
-/// the threaded components (kvstore, shm, ckpt_writer, telemetry) audit
-/// from worker threads.
+/// the threaded components (kvstore, shm, telemetry) audit from worker
+/// threads.
 class Auditor {
  public:
   static Auditor& instance();
@@ -68,15 +64,7 @@ class Auditor {
   /// recent message, in first-failure order.
   std::vector<Violation> snapshot() const;
 
-  /// Installs the sink invoked on each violation (e.g. metrics_sink()).
-  /// Pass nullptr to detach.
-  void set_sink(ViolationSink sink);
-
-  /// When true, a violation aborts the process after reporting — the
-  /// debugging mode that turns the first drift into a stack trace.
-  void set_abort_on_violation(bool abort_on_violation);
-
-  /// Clears tallies (sink and abort mode survive). Tests isolate with this.
+  /// Clears tallies. Tests isolate with this.
   void reset();
 
  private:

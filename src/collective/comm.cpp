@@ -116,18 +116,6 @@ TimeNs CollectiveModel::reduce_scatter(Bytes bytes, int ranks,
   return t;
 }
 
-TimeNs CollectiveModel::all_to_all(Bytes bytes, int ranks, Domain domain) const {
-  assert(ranks >= 1 && bytes >= 0);
-  if (ranks == 1 || bytes == 0) return 0;
-  const double n = ranks;
-  const double payload = (n - 1.0) / n * static_cast<double>(bytes);
-  const TimeNs t = transfer_time(payload, bandwidth(domain)) +
-                   (ranks - 1) * latency(domain);
-  audit_cost("alltoall", domain, ranks, bytes, t);
-  record("alltoall", domain, bytes, t);
-  return t;
-}
-
 TimeNs CollectiveModel::send_recv(Bytes bytes, Domain domain) const {
   assert(bytes >= 0);
   if (bytes == 0) return 0;
@@ -148,16 +136,6 @@ TimeNs CollectiveModel::hierarchical_all_reduce(Bytes bytes, int nodes,
       all_reduce(bytes / gpus_per_node, nodes, Domain::kInterNode);
   const TimeNs intra_ag = all_gather(bytes, gpus_per_node, Domain::kIntraNode);
   return intra_rs + inter + intra_ag;
-}
-
-TimeNs CollectiveModel::broadcast(Bytes bytes, int ranks, Domain domain) const {
-  assert(ranks >= 1 && bytes >= 0);
-  if (ranks == 1 || bytes == 0) return 0;
-  const TimeNs t = transfer_time(static_cast<double>(bytes), bandwidth(domain)) +
-                   (ranks - 1) * latency(domain);
-  audit_cost("broadcast", domain, ranks, bytes, t);
-  record("broadcast", domain, bytes, t);
-  return t;
 }
 
 }  // namespace ms::collective

@@ -80,15 +80,8 @@ class CollectiveModel {
   /// Ring reduce-scatter — same cost shape as all-gather.
   TimeNs reduce_scatter(Bytes bytes, int ranks, Domain domain) const;
 
-  /// All-to-all of `bytes` total per rank (each rank exchanges bytes/n with
-  /// every peer): (n-1)/n * S/B + (n-1)*alpha.
-  TimeNs all_to_all(Bytes bytes, int ranks, Domain domain) const;
-
   /// Point-to-point transfer (pipeline parallelism send/recv).
   TimeNs send_recv(Bytes bytes, Domain domain) const;
-
-  /// Broadcast via chunked ring pipeline: S/B + (n-1)*alpha approximately.
-  TimeNs broadcast(Bytes bytes, int ranks, Domain domain) const;
 
   /// Hierarchical all-reduce across `nodes` machines of `gpus_per_node`
   /// GPUs: intra-node reduce-scatter (NVLink), inter-node all-reduce of the

@@ -68,33 +68,4 @@ CollPlan ring_all_reduce_plan(int ranks, Bytes total) {
   return plan;
 }
 
-CollPlan all_to_all_plan(int ranks, Bytes bytes_per_pair) {
-  assert(ranks >= 1 && bytes_per_pair >= 0);
-  CollPlan plan;
-  for (int r = 1; r < ranks; ++r) {
-    std::vector<CollStep> round;
-    round.reserve(static_cast<std::size_t>(ranks));
-    for (int i = 0; i < ranks; ++i) {
-      CollStep s;
-      s.src = i;
-      s.dst = mod(i + r, ranks);
-      s.chunk = s.dst;
-      s.bytes = bytes_per_pair;
-      round.push_back(s);
-    }
-    plan.push_back(std::move(round));
-  }
-  return plan;
-}
-
-Bytes bytes_sent_per_rank(const CollPlan& plan, int rank) {
-  Bytes total = 0;
-  for (const auto& round : plan) {
-    for (const auto& step : round) {
-      if (step.src == rank) total += step.bytes;
-    }
-  }
-  return total;
-}
-
 }  // namespace ms::collective

@@ -40,12 +40,4 @@ CollPlan ring_reduce_scatter_plan(int ranks, Bytes total);
 /// Ring all-reduce = reduce-scatter followed by all-gather (2(n-1) rounds).
 CollPlan ring_all_reduce_plan(int ranks, Bytes total);
 
-/// Pairwise all-to-all: n-1 rounds, in round r rank i exchanges with rank
-/// i XOR-free pairing (i+r) mod n; bytes_per_pair from each rank to each
-/// peer.
-CollPlan all_to_all_plan(int ranks, Bytes bytes_per_pair);
-
-/// Total bytes sent by one rank over the whole plan (uniform by symmetry).
-Bytes bytes_sent_per_rank(const CollPlan& plan, int rank);
-
 }  // namespace ms::collective

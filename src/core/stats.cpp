@@ -17,23 +17,6 @@ void RunningStat::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStat::merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 double Percentiles::quantile(double q) const {
@@ -124,53 +107,6 @@ std::vector<HdrHistogram::Bucket> HdrHistogram::nonzero_buckets() const {
                    overflow_});
   }
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto i = static_cast<std::size_t>(frac * static_cast<double>(counts_.size()));
-  if (i >= counts_.size()) i = counts_.size() - 1;
-  ++counts_[i];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  char head[96];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    std::snprintf(head, sizeof(head), "[%10.4g, %10.4g) %8zu |", bucket_lo(i),
-                  bucket_hi(i), counts_[i]);
-    out << head;
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    for (std::size_t b = 0; b < bar; ++b) out << '#';
-    out << '\n';
-  }
-  if (underflow_ || overflow_) {
-    out << "underflow=" << underflow_ << " overflow=" << overflow_ << '\n';
-  }
-  return out.str();
 }
 
 double Series::tail_mean(std::size_t k) const {

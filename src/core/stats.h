@@ -13,7 +13,6 @@ namespace ms {
 class RunningStat {
  public:
   void add(double x);
-  void merge(const RunningStat& other);
 
   std::size_t count() const { return n_; }
   bool empty() const { return n_ == 0; }
@@ -48,29 +47,6 @@ class Percentiles {
  private:
   mutable std::vector<double> values_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-bucket histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t bucket(std::size_t i) const { return counts_[i]; }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const { return bucket_lo(i + 1); }
-
-  /// Simple multi-line ASCII rendering (for bench/table output).
-  std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 /// Fixed-layout HDR-style histogram sketch: geometric buckets spanning

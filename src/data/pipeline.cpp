@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "telemetry/metrics.h"
-
 namespace ms::data {
 
 DataStepCost data_step_cost(const DataPipelineConfig& cfg) {
@@ -36,25 +34,6 @@ DataStepCost data_step_cost(const DataPipelineConfig& cfg) {
 
   cost.exposed = cost.disk_read + cost.shm_copy +
                  (cfg.async_preprocessing ? 0 : cost.preprocess);
-  return cost;
-}
-
-DataStepCost data_step_cost(const DataPipelineConfig& cfg,
-                            telemetry::MetricsRegistry* metrics) {
-  const DataStepCost cost = data_step_cost(cfg);
-  if (metrics != nullptr) {
-    const telemetry::Labels labels{
-        {"mode", cfg.redundant_loaders ? "redundant" : "shared"}};
-    metrics->counter("data_steps_total", labels).add();
-    metrics->histogram("data_disk_read_seconds", labels)
-        .observe(to_seconds(cost.disk_read));
-    metrics->histogram("data_shm_copy_seconds", labels)
-        .observe(to_seconds(cost.shm_copy));
-    metrics->histogram("data_preprocess_seconds", labels)
-        .observe(to_seconds(cost.preprocess));
-    metrics->histogram("data_exposed_seconds", labels)
-        .observe(to_seconds(cost.exposed));
-  }
   return cost;
 }
 

@@ -13,10 +13,6 @@
 #include "core/time.h"
 #include "core/units.h"
 
-namespace ms::telemetry {
-class MetricsRegistry;
-}  // namespace ms::telemetry
-
 namespace ms::data {
 
 struct DataPipelineConfig {
@@ -46,11 +42,5 @@ struct DataStepCost {
 };
 
 DataStepCost data_step_cost(const DataPipelineConfig& cfg);
-
-/// Same, recording each component into `metrics` (histograms of
-/// disk/shm/preprocess/exposed seconds + a step counter, labeled
-/// {mode=redundant|shared}). `metrics` may be nullptr.
-DataStepCost data_step_cost(const DataPipelineConfig& cfg,
-                            telemetry::MetricsRegistry* metrics);
 
 }  // namespace ms::data

@@ -36,19 +36,6 @@ std::string SpanAttrs::text(const std::string& key,
   return it == kv_.end() ? fallback : it->second;
 }
 
-const char* edge_kind_name(EdgeKind kind) {
-  switch (kind) {
-    case EdgeKind::kProgramOrder: return "program-order";
-    case EdgeKind::kTransfer: return "transfer";
-    case EdgeKind::kProduce: return "produce";
-    case EdgeKind::kConsume: return "consume";
-    case EdgeKind::kLocalGrad: return "local-grad";
-    case EdgeKind::kData: return "data";
-    case EdgeKind::kCollective: return "collective";
-  }
-  return "?";
-}
-
 void DepGraph::add_edge(std::size_t from, std::size_t to, EdgeKind kind) {
   if (from == to) return;
   edges_.push_back({from, to, kind});

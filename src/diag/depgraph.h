@@ -55,8 +55,6 @@ enum class EdgeKind {
   kCollective,    ///< DP collective ordering (ag -> fwd, bwd -> rs, rs -> opt)
 };
 
-const char* edge_kind_name(EdgeKind kind);
-
 struct DepEdge {
   std::size_t from = 0;
   std::size_t to = 0;

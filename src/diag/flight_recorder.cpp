@@ -65,13 +65,6 @@ std::uint64_t FlightRecorder::total_dropped() const {
   return dropped;
 }
 
-void FlightRecorder::clear() {
-  MutexLock lock(mu_);
-  rings_.clear();
-  dumps_.clear();
-  seq_ = 0;
-}
-
 std::string flight_dump_jsonl(const FlightDump& dump) {
   std::ostringstream out;
   out << "{\"type\":\"flight-dump\",\"reason\":\"" << json::escape(dump.reason)

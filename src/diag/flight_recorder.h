@@ -62,8 +62,6 @@ class FlightRecorder {
   /// Events discarded because a ring wrapped.
   std::uint64_t total_dropped() const;
 
-  void clear();
-
  private:
   struct Ring {
     std::vector<FlightEvent> slots;  // capacity_per_node once warm

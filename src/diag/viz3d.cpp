@@ -39,37 +39,6 @@ std::string Parallel3DVisualizer::describe(int rank) const {
   return out.str();
 }
 
-std::string Parallel3DVisualizer::dot_graph(int rank) const {
-  std::ostringstream out;
-  out << "digraph rank" << rank << " {\n";
-  out << "  n" << rank << " [style=filled, fillcolor=lightblue];\n";
-  for (int peer : tp_group(rank, cfg_)) {
-    if (peer != rank) {
-      out << "  n" << rank << " -> n" << peer << " [label=\"tp\", dir=both];\n";
-    }
-  }
-  for (int peer : dp_group(rank, cfg_)) {
-    if (peer != rank) {
-      out << "  n" << rank << " -> n" << peer << " [label=\"dp\", dir=both];\n";
-    }
-  }
-  const auto c = coord_of(rank, cfg_);
-  if (c.pp < cfg_.pp - 1) {
-    auto next = c;
-    next.pp = c.pp + 1;
-    out << "  n" << rank << " -> n" << rank_of(next, cfg_)
-        << " [label=\"pp\"];\n";
-  }
-  if (c.pp > 0) {
-    auto prev = c;
-    prev.pp = c.pp - 1;
-    out << "  n" << rank_of(prev, cfg_) << " -> n" << rank
-        << " [label=\"pp\"];\n";
-  }
-  out << "}\n";
-  return out.str();
-}
-
 std::vector<int> Parallel3DVisualizer::locate_hung_ranks(
     const std::map<int, std::string>& last_logged_op) const {
   std::set<int> silent;

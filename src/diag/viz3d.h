@@ -25,10 +25,6 @@ class Parallel3DVisualizer {
   /// (Figure 7's selection panel).
   std::string describe(int rank) const;
 
-  /// Graphviz DOT of the rank's communication edges across all three
-  /// dimensions.
-  std::string dot_graph(int rank) const;
-
   /// Hang localization. `last_logged_op` holds, for every rank that exited
   /// on communication timeout, the operation it was blocked in (e.g.
   /// "dp-allgather", "pp-recv"). Hung ranks log nothing. Returns the

@@ -46,17 +46,6 @@ void ring_all_reduce_sum(std::vector<Buffer*> ranks) {
   }
 }
 
-void all_reduce_sum(std::vector<Buffer*> ranks) {
-  assert(!ranks.empty());
-  const std::size_t size = ranks[0]->size();
-  Buffer total(size, 0.0f);
-  for (auto* b : ranks) {
-    assert(b->size() == size);
-    for (std::size_t i = 0; i < size; ++i) total[i] += (*b)[i];
-  }
-  for (auto* b : ranks) *b = total;
-}
-
 Buffer all_gather_concat(const std::vector<const Buffer*>& shards) {
   Buffer out;
   for (const auto* s : shards) {
@@ -82,14 +71,6 @@ std::vector<Buffer> reduce_scatter_sum(const std::vector<const Buffer*>& inputs,
     }
   }
   return shards;
-}
-
-void broadcast_from(std::vector<Buffer*> ranks, int root) {
-  assert(root >= 0 && root < static_cast<int>(ranks.size()));
-  const Buffer& src = *ranks[static_cast<std::size_t>(root)];
-  for (auto* b : ranks) {
-    if (b != ranks[static_cast<std::size_t>(root)]) *b = src;
-  }
 }
 
 }  // namespace ms::dist

@@ -19,10 +19,6 @@ using Buffer = std::vector<float>;
 /// Afterwards every buffer holds the elementwise sum.
 void ring_all_reduce_sum(std::vector<Buffer*> ranks);
 
-/// Elementwise sum into every buffer (the reference the ring is checked
-/// against; also used where the movement order is irrelevant).
-void all_reduce_sum(std::vector<Buffer*> ranks);
-
 /// Concatenation all-gather: shards (equal size) -> full buffer.
 Buffer all_gather_concat(const std::vector<const Buffer*>& shards);
 
@@ -30,8 +26,5 @@ Buffer all_gather_concat(const std::vector<const Buffer*>& shards);
 /// i-th slice of the elementwise sum.
 std::vector<Buffer> reduce_scatter_sum(const std::vector<const Buffer*>& inputs,
                                        int ranks);
-
-/// Copies rank `root`'s buffer into everyone's.
-void broadcast_from(std::vector<Buffer*> ranks, int root);
 
 }  // namespace ms::dist

@@ -55,10 +55,6 @@ std::vector<Tensor> ColumnParallelLinear::forward_sharded(const Tensor& x) const
   return outs;
 }
 
-Tensor ColumnParallelLinear::forward(const Tensor& x) const {
-  return optim::concat_cols(forward_sharded(x));
-}
-
 RowParallelLinear::RowParallelLinear(const Tensor& full_weight,
                                      const Tensor& full_bias, int shards)
     : bias_(Tensor::from(
@@ -72,17 +68,6 @@ RowParallelLinear::RowParallelLinear(const Tensor& full_weight,
   for (int s = 0; s < shards; ++s) {
     weights_.push_back(copy_rows(full_weight, s * per, per));
   }
-}
-
-Tensor RowParallelLinear::forward(const Tensor& x) const {
-  const int per = weights_.front().dim(0);
-  std::vector<Tensor> slices;
-  slices.reserve(weights_.size());
-  for (std::size_t s = 0; s < weights_.size(); ++s) {
-    slices.push_back(
-        optim::slice_cols(x, static_cast<int>(s) * per, per));
-  }
-  return forward_sharded(slices);
 }
 
 Tensor RowParallelLinear::forward_sharded(

@@ -17,7 +17,7 @@ namespace ms::dist {
 
 using optim::Tensor;
 
-/// y = concat_cols_i(x @ W_i + b_i): output features sharded.
+/// y_i = x @ W_i + b_i: output features sharded, one slice per shard.
 class ColumnParallelLinear {
  public:
   /// Splits a full [in, out] weight / [out] bias into `shards` leaf tensors
@@ -25,9 +25,7 @@ class ColumnParallelLinear {
   ColumnParallelLinear(const Tensor& full_weight, const Tensor& full_bias,
                        int shards);
 
-  Tensor forward(const Tensor& x) const;
-
-  /// Per-shard forward WITHOUT the merging all-gather — for the
+  /// Per-shard forward WITHOUT a merging all-gather — for the
   /// shard-local nonlinearity pattern (apply GeLU to this, then feed the
   /// row-parallel layer shard-wise).
   std::vector<Tensor> forward_sharded(const Tensor& x) const;
@@ -49,10 +47,6 @@ class RowParallelLinear {
   /// stays whole (added once after the reduction).
   RowParallelLinear(const Tensor& full_weight, const Tensor& full_bias,
                     int shards);
-
-  /// x is the full [m, in] activation; it is sliced internally (the
-  /// "scatter" end of sequence/tensor parallelism).
-  Tensor forward(const Tensor& x) const;
 
   /// Pre-sharded inputs (outputs of a column-parallel layer, one per GPU).
   Tensor forward_sharded(const std::vector<Tensor>& x_shards) const;

@@ -37,10 +37,4 @@ MemoryBreakdown peak_memory(const ModelConfig& model,
   return out;
 }
 
-bool fits_memory(const ModelConfig& model, const parallel::ParallelConfig& par,
-                 int inflight_microbatches, const MemoryConfig& mem) {
-  return peak_memory(model, par, inflight_microbatches, mem).total() <=
-         mem.gpu_hbm_bytes;
-}
-
 }  // namespace ms::model

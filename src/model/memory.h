@@ -52,8 +52,4 @@ MemoryBreakdown peak_memory(const ModelConfig& model,
                             int inflight_microbatches,
                             const MemoryConfig& mem = {});
 
-/// Convenience: does the layout fit the device?
-bool fits_memory(const ModelConfig& model, const parallel::ParallelConfig& par,
-                 int inflight_microbatches, const MemoryConfig& mem = {});
-
 }  // namespace ms::model

@@ -91,10 +91,6 @@ Flops reference_train_flops_per_token(const ModelConfig& cfg) {
   return train_flops_per_token(reference);
 }
 
-Bytes activation_bytes_per_token(const ModelConfig& cfg) {
-  return static_cast<Bytes>(cfg.hidden) * 2;  // bf16
-}
-
 double mfu(const ModelConfig& cfg, double tokens_per_second, int gpus,
            Flops peak_flops_per_gpu) {
   assert(gpus > 0 && peak_flops_per_gpu > 0);

@@ -78,9 +78,6 @@ Flops train_flops_per_token(const ModelConfig& cfg);
 /// execution time but not the FLOPs credited to the job.
 Flops reference_train_flops_per_token(const ModelConfig& cfg);
 
-/// Bytes of one token's activation vector (bf16).
-Bytes activation_bytes_per_token(const ModelConfig& cfg);
-
 /// Model-FLOPs utilization: credited FLOPs per second per GPU over peak.
 double mfu(const ModelConfig& cfg, double tokens_per_second, int gpus,
            Flops peak_flops_per_gpu);

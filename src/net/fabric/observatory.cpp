@@ -107,14 +107,6 @@ double FabricObservatory::utilization(int link,
   return sample.tx_bytes / (cap * to_seconds(cfg_.cadence));
 }
 
-double FabricObservatory::mean_utilization(int link) const {
-  const auto window = samples(link);
-  if (window.empty()) return 0;
-  double sum = 0;
-  for (const auto& s : window) sum += utilization(link, s);
-  return sum / static_cast<double>(window.size());
-}
-
 std::uint64_t FabricObservatory::digest() const {
   check::Digest digest;
   digest.fold(static_cast<std::int64_t>(series_.size()));

@@ -101,8 +101,6 @@ class FabricObservatory {
   /// tx bytes of one bucket as a fraction of capacity x cadence (0 when
   /// the link capacity is unknown).
   double utilization(int link, const LinkSample& sample) const;
-  /// Mean bucket utilization across the retained window.
-  double mean_utilization(int link) const;
 
   /// Order-sensitive determinism digest over every link series, flow
   /// record and eviction counter. Same seed => same digest (pinned by

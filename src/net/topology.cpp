@@ -170,21 +170,4 @@ std::vector<Path> ClosTopology::ecmp_paths(int src_host, int dst_host,
   return paths;
 }
 
-int ClosTopology::hop_count(int src_host, int dst_host, int rail) const {
-  if (src_host == dst_host) return 0;
-  const auto paths = ecmp_paths(src_host, dst_host, rail);
-  return static_cast<int>(paths.front().size());
-}
-
-Bandwidth ClosTopology::bisection_bandwidth() const {
-  Bandwidth total = 0;
-  for (const auto& l : links_) {
-    if (node(l.src).kind == NodeKind::kAgg &&
-        node(l.dst).kind == NodeKind::kSpine) {
-      total += l.capacity;
-    }
-  }
-  return total;
-}
-
 }  // namespace ms::net

@@ -98,12 +98,6 @@ class ClosTopology {
   ///  - cross pod: spine_count paths (up, up, up, down, down, down)
   std::vector<Path> ecmp_paths(int src_host, int dst_host, int rail) const;
 
-  /// Number of switch hops on any path between the two hosts on a rail.
-  int hop_count(int src_host, int dst_host, int rail) const;
-
-  /// Total bisection bandwidth (sum of spine<-agg capacities, one direction).
-  Bandwidth bisection_bandwidth() const;
-
  private:
   LinkId add_link(NodeId src, NodeId dst, Bandwidth cap);
   NodeId add_node(NodeKind kind, int rail, std::string name);

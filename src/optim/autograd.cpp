@@ -553,72 +553,6 @@ Tensor sum(const Tensor& a) {
                      });
 }
 
-Tensor concat_cols(const std::vector<Tensor>& parts) {
-  assert(!parts.empty());
-  const int m = parts.front().dim(0);
-  int total_cols = 0;
-  for (const auto& p : parts) {
-    assert(p.shape().size() == 2 && p.dim(0) == m);
-    total_cols += p.dim(1);
-    prep(p);
-  }
-  std::vector<float> out(static_cast<std::size_t>(m) * total_cols);
-  int col = 0;
-  for (const auto& p : parts) {
-    const int n = p.dim(1);
-    for (int i = 0; i < m; ++i) {
-      std::copy_n(p.data() + static_cast<std::size_t>(i) * n, n,
-                  &out[static_cast<std::size_t>(i) * total_cols + col]);
-    }
-    col += n;
-  }
-  std::vector<Tensor> owned = parts;
-  return make_result(
-      std::move(out), {m, total_cols}, parts,
-      [owned, m, total_cols](Node& res) mutable {
-        const float* g = res.grad.data();
-        int col = 0;
-        for (auto& p : owned) {
-          const int n = p.dim(1);
-          if (p.requires_grad()) {
-            float* dp = p.grad();
-            for (int i = 0; i < m; ++i) {
-              for (int j = 0; j < n; ++j) {
-                dp[static_cast<std::size_t>(i) * n + j] +=
-                    g[static_cast<std::size_t>(i) * total_cols + col + j];
-              }
-            }
-          }
-          col += n;
-        }
-      });
-}
-
-Tensor slice_cols(const Tensor& a, int begin, int count) {
-  assert(a.shape().size() == 2);
-  const int m = a.dim(0), n = a.dim(1);
-  assert(begin >= 0 && count > 0 && begin + count <= n);
-  prep(a);
-  std::vector<float> out(static_cast<std::size_t>(m) * count);
-  for (int i = 0; i < m; ++i) {
-    std::copy_n(a.data() + static_cast<std::size_t>(i) * n + begin, count,
-                &out[static_cast<std::size_t>(i) * count]);
-  }
-  Tensor ta = a;
-  return make_result(std::move(out), {m, count}, {a},
-                     [ta, begin, count, m, n](Node& res) mutable {
-                       if (!ta.requires_grad()) return;
-                       float* da = ta.grad();
-                       const float* g = res.grad.data();
-                       for (int i = 0; i < m; ++i) {
-                         for (int j = 0; j < count; ++j) {
-                           da[static_cast<std::size_t>(i) * n + begin + j] +=
-                               g[static_cast<std::size_t>(i) * count + j];
-                         }
-                       }
-                     });
-}
-
 Tensor add_n(const std::vector<Tensor>& parts) {
   assert(!parts.empty());
   for (const auto& p : parts) {

@@ -124,13 +124,6 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets);
 /// Sum of all elements (scalar).
 Tensor sum(const Tensor& a);
 
-/// Concatenates 2-D tensors along columns: [m, n1], [m, n2], ... -> [m, Σn].
-/// The building block of column-parallel (Megatron-style) layers.
-Tensor concat_cols(const std::vector<Tensor>& parts);
-
-/// Extracts columns [begin, begin+count) of a 2-D tensor.
-Tensor slice_cols(const Tensor& a, int begin, int count);
-
 /// Elementwise sum of k same-shaped tensors (the "all-reduce" of a
 /// row-parallel layer's partial outputs).
 Tensor add_n(const std::vector<Tensor>& parts);

@@ -76,31 +76,6 @@ void Adam::step(float lr) {
   }
 }
 
-std::vector<float> Adam::export_state() const {
-  std::vector<float> state;
-  state.push_back(static_cast<float>(t_));
-  for (const auto& m : m_) state.insert(state.end(), m.begin(), m.end());
-  for (const auto& v : v_) state.insert(state.end(), v.begin(), v.end());
-  return state;
-}
-
-bool Adam::import_state(const std::vector<float>& state) {
-  std::size_t expected = 1;
-  for (const auto& m : m_) expected += 2 * m.size();
-  if (state.size() != expected) return false;
-  std::size_t offset = 0;
-  t_ = static_cast<std::int64_t>(state[offset++]);
-  for (auto& m : m_) {
-    std::copy_n(state.data() + offset, m.size(), m.data());
-    offset += m.size();
-  }
-  for (auto& v : v_) {
-    std::copy_n(state.data() + offset, v.size(), v.data());
-    offset += v.size();
-  }
-  return true;
-}
-
 Lamb::Lamb(std::vector<Param> params, AdamHyper hyper)
     : Adam(std::move(params), hyper) {}
 

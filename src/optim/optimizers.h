@@ -52,13 +52,6 @@ class Adam : public Optimizer {
   explicit Adam(std::vector<Param> params, AdamHyper hyper = {});
   void step(float lr) override;
 
-  /// Optimizer-state checkpointing (§4.4 stores optimizer states alongside
-  /// weights): serializes step count + both moment vectors, flat.
-  std::vector<float> export_state() const;
-  /// Restores a state produced by export_state on an identically-shaped
-  /// optimizer. Returns false on size mismatch.
-  bool import_state(const std::vector<float>& state);
-
  protected:
   /// Computes the Adam direction (m_hat / (sqrt(v_hat) + eps) + wd * w)
   /// into `direction`; shared with LAMB.

@@ -161,51 +161,6 @@ double evaluate_lm(const TinyGpt& model, const MarkovCorpus& corpus,
   return total / sequences;
 }
 
-std::vector<int> generate(const TinyGpt& model, std::vector<int> prompt,
-                          int new_tokens, Rng& rng, float temperature) {
-  assert(!prompt.empty());
-  const int vocab = model.config().vocab;
-  const int max_context = model.config().seq_len;
-  for (int t = 0; t < new_tokens; ++t) {
-    std::vector<int> context = prompt;
-    if (static_cast<int>(context.size()) > max_context) {
-      context.assign(prompt.end() - max_context, prompt.end());
-    }
-    Tensor logits = model.forward(context);
-    const int last = static_cast<int>(context.size()) - 1;
-    const float* row = logits.data() + static_cast<std::size_t>(last) * vocab;
-
-    int next = 0;
-    if (temperature <= 0.0f) {
-      for (int v = 1; v < vocab; ++v) {
-        if (row[v] > row[next]) next = v;
-      }
-    } else {
-      // Softmax with temperature, sampled.
-      float maxv = row[0];
-      for (int v = 1; v < vocab; ++v) maxv = std::max(maxv, row[v]);
-      std::vector<double> probs(static_cast<std::size_t>(vocab));
-      double denom = 0.0;
-      for (int v = 0; v < vocab; ++v) {
-        probs[static_cast<std::size_t>(v)] =
-            std::exp(static_cast<double>(row[v] - maxv) / temperature);
-        denom += probs[static_cast<std::size_t>(v)];
-      }
-      double u = rng.uniform() * denom;
-      next = vocab - 1;
-      for (int v = 0; v < vocab; ++v) {
-        if (u < probs[static_cast<std::size_t>(v)]) {
-          next = v;
-          break;
-        }
-        u -= probs[static_cast<std::size_t>(v)];
-      }
-    }
-    prompt.push_back(next);
-  }
-  return prompt;
-}
-
 ScalingLawLoss::ScalingLawLoss(double floor, double amplitude, double exponent,
                                double offset_tokens, std::uint64_t seed)
     : floor_(floor),

@@ -64,13 +64,6 @@ TrainRecord train_lm(TinyGpt& model, Optimizer& optimizer,
 double evaluate_lm(const TinyGpt& model, const MarkovCorpus& corpus,
                    int sequences, Rng& rng);
 
-/// Autoregressive sampling: extends `prompt` by `new_tokens` tokens.
-/// temperature <= 0 selects greedily (argmax); otherwise softmax sampling
-/// with the given temperature. The context is truncated to the model's
-/// sequence length.
-std::vector<int> generate(const TinyGpt& model, std::vector<int> prompt,
-                          int new_tokens, Rng& rng, float temperature = 1.0f);
-
 /// Copy task: each sequence is a random prefix followed by its exact
 /// repetition. Predicting the second half requires attending `half_len`
 /// positions back — unlike the order-1 Markov corpus, this stresses the

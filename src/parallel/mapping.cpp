@@ -42,22 +42,4 @@ std::vector<int> pp_group(int rank, const ParallelConfig& cfg) {
   return group;
 }
 
-int node_of(int rank, [[maybe_unused]] const ParallelConfig& cfg,
-            int gpus_per_node) {
-  assert(rank >= 0 && rank < cfg.world());
-  return rank / gpus_per_node;
-}
-
-ChunkLayers chunk_layers(int total_layers, const ParallelConfig& cfg, int stage,
-                         int virtual_stage) {
-  assert(stage >= 0 && stage < cfg.pp);
-  assert(virtual_stage >= 0 && virtual_stage < cfg.vpp);
-  const int chunks = cfg.pp * cfg.vpp;
-  assert(total_layers % chunks == 0 &&
-         "layer count must divide evenly into pp*vpp chunks");
-  const int per_chunk = total_layers / chunks;
-  const int chunk_index = virtual_stage * cfg.pp + stage;
-  return ChunkLayers{chunk_index * per_chunk, per_chunk};
-}
-
 }  // namespace ms::parallel

@@ -45,17 +45,4 @@ std::vector<int> tp_group(int rank, const ParallelConfig& cfg);
 std::vector<int> dp_group(int rank, const ParallelConfig& cfg);
 std::vector<int> pp_group(int rank, const ParallelConfig& cfg);
 
-/// Host (8-GPU machine) index of a rank, assuming TP groups fill nodes.
-int node_of(int rank, const ParallelConfig& cfg, int gpus_per_node = 8);
-
-/// Layer assignment with interleaving: the model's layers are cut into
-/// pp*vpp chunks; chunk (v, stage) holds layers
-/// [chunk_index * layers_per_chunk, ...). Chunk index = v * pp + stage.
-struct ChunkLayers {
-  int first = 0;
-  int count = 0;
-};
-ChunkLayers chunk_layers(int total_layers, const ParallelConfig& cfg, int stage,
-                         int virtual_stage);
-
 }  // namespace ms::parallel

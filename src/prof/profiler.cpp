@@ -218,7 +218,6 @@ class Profiler {
       t->trace.clear();
       t->trace_dropped = 0;
     }
-    internal::g_allocs.store(0, std::memory_order_relaxed);
   }
 
   void append_trace(ThreadState& t, const TraceEvent& ev) {

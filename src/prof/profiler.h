@@ -13,8 +13,7 @@
 //      merge on snapshot() into the fixed-layout core HdrHistogram, the
 //      same mergeable sketch the telemetry registry speaks.
 //
-//   2. An allocation counter (prof::count_alloc) and an optional
-//      self-trace ring: when tracing is on, every closed scope
+//   2. An optional self-trace ring: when tracing is on, every closed scope
 //      appends an (id, start, dur, tid) record, exported by prof/report.h
 //      as a Perfetto/Chrome trace whose track is the simulator process.
 //
@@ -66,8 +65,6 @@ inline std::atomic<bool> g_enabled{false};
 // Self-trace capture switch (independent of g_enabled so aggregate
 // profiling does not pay the ring-append unless a trace was asked for).
 inline std::atomic<bool> g_tracing{false};
-// Allocation counter behind prof::count_alloc.
-inline std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace internal
 
 /// Runtime master switch. Scopes sample only while enabled.
@@ -82,18 +79,6 @@ inline bool tracing() {
   return internal::g_tracing.load(std::memory_order_relaxed);
 }
 void set_tracing(bool on);
-
-/// Counting hook for instrumented allocation sites; a captured report
-/// carries the total as `allocs`. Counts only while the profiler is
-/// enabled.
-inline void count_alloc(std::uint64_t n = 1) {
-  if (enabled()) {
-    internal::g_allocs.fetch_add(n, std::memory_order_relaxed);
-  }
-}
-inline std::uint64_t alloc_count() {
-  return internal::g_allocs.load(std::memory_order_relaxed);
-}
 
 /// Interns `name`, returning its stable id (same name -> same id for the
 /// process lifetime). Thread-safe; kInvalidScope past kMaxScopes.
@@ -133,7 +118,7 @@ std::vector<ScopeSnapshot> snapshot();
 /// number of records discarded after rings filled.
 std::vector<TraceEvent> drain_trace(std::uint64_t* dropped = nullptr);
 
-/// Zeroes every cell, the allocation counter and the trace rings.
+/// Zeroes every cell and the trace rings.
 /// Registrations (ids, names) survive — `msprof --repeat` depends on it.
 void reset();
 
@@ -209,9 +194,6 @@ class ScopeTimer {
       ::ms::prof::register_scope(name);                                \
   ::ms::prof::ScopeTimer MS_PROF_CAT(ms_prof_timer_, __LINE__)(        \
       MS_PROF_CAT(ms_prof_sid_, __LINE__))
-/// Statement form of prof::count_alloc for instrumented hot paths.
-#define MS_PROF_COUNT_ALLOC(n) ::ms::prof::count_alloc(n)
 #else
 #define MS_PROF_SCOPE(name) ((void)0)
-#define MS_PROF_COUNT_ALLOC(n) ((void)0)
 #endif

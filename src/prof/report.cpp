@@ -61,8 +61,7 @@ std::string ProfileReport::to_jsonl() const {
                 static_cast<unsigned long long>(digest()));
   out << "{\"kind\":\"profile\",\"workload\":\"" << json::escape(workload)
       << "\",\"wall_ns\":" << wall_ns << ",\"events\":" << events
-      << ",\"allocs\":" << allocs << ",\"digest\":\"" << digest_hex
-      << "\"}\n";
+      << ",\"digest\":\"" << digest_hex << "\"}\n";
   char quantiles[96];
   for (const ScopeStats& s : scopes) {
     std::snprintf(quantiles, sizeof(quantiles),
@@ -82,7 +81,6 @@ std::string ProfileReport::render(std::size_t top_k) const {
       << "  wall " << fmt_ms(static_cast<double>(wall_ns)) << " ms | "
       << Table::fmt_int(static_cast<long long>(events)) << " events | "
       << Table::fmt(events_per_sec() / kKilo, 0) << "k events/s | "
-      << Table::fmt_int(static_cast<long long>(allocs)) << " allocs | "
       << Table::fmt_pct(attributed_fraction()) << " attributed\n";
   Table table({"scope", "count", "self ms", "self %", "total ms", "mean us",
                "p50 us", "p99 us", "max us"});
@@ -115,7 +113,6 @@ ProfileReport capture(const std::string& workload, WallNs wall_ns,
   report.workload = workload;
   report.wall_ns = wall_ns > 0 ? static_cast<std::uint64_t>(wall_ns) : 0;
   report.events = events;
-  report.allocs = alloc_count();
   for (const ScopeSnapshot& snap : snapshot()) {
     ScopeStats s;
     s.name = snap.name;
@@ -151,7 +148,6 @@ bool parse_jsonl(const std::string& text, ProfileReport& out,
       f.text("workload", report.workload);
       f.integer("wall_ns", report.wall_ns);
       f.integer("events", report.events);
-      f.integer("allocs", report.allocs);
     } else if (kind == "scope" && saw_header) {
       ScopeStats& s = report.scopes.emplace_back();
       f.text("name", s.name);
@@ -184,9 +180,7 @@ std::string render_diff(const ProfileReport& base, const ProfileReport& cand,
   out << "  wall " << fmt_ms(base_wall) << " -> " << fmt_ms(cand_wall)
       << " ms (" << Table::fmt_pct(wall_delta) << ") | events/s "
       << Table::fmt(base.events_per_sec() / kKilo, 0) << "k -> "
-      << Table::fmt(cand.events_per_sec() / kKilo, 0) << "k | allocs "
-      << Table::fmt_int(static_cast<long long>(base.allocs)) << " -> "
-      << Table::fmt_int(static_cast<long long>(cand.allocs)) << "\n";
+      << Table::fmt(cand.events_per_sec() / kKilo, 0) << "k\n";
 
   std::map<std::string, const ScopeStats*> base_by_name;
   for (const ScopeStats& s : base.scopes) base_by_name[s.name] = &s;

@@ -2,7 +2,7 @@
 // Perfetto self-trace.
 //
 // A ProfileReport is the plain-data result of one profiled workload run:
-// wall time, engine event count, allocation count, and per-scope stats
+// wall time, engine event count, and per-scope stats
 // ranked by *self* time (total minus nested scopes), which is the column
 // that answers "where do the nanoseconds actually go". The JSONL artifact
 // round-trips through parse_jsonl so `msprof diff` can compare two runs
@@ -41,7 +41,6 @@ struct ProfileReport {
   std::string workload;
   std::uint64_t wall_ns = 0;   // workload wall time (profiled run)
   std::uint64_t events = 0;    // engine events executed during the run
-  std::uint64_t allocs = 0;    // prof::count_alloc total
   std::vector<ScopeStats> scopes;  // ranked by self_ns, descending
 
   /// Fraction of wall time attributed to named scopes (sum of self time /

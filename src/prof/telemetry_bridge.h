@@ -1,10 +1,10 @@
 // Bridge from the self-profiler into the telemetry substrate.
 //
-// Header-only on purpose (the metrics_sink.h pattern): ms_prof sits below
-// ms_sim so it cannot link ms_telemetry, but anything that already links
-// telemetry can include this and export profiler state as ordinary
-// registry series — which buys the Prometheus/JSONL wire formats and the
-// mergeable SketchSnapshot form for free.
+// Header-only on purpose: ms_prof sits below ms_sim and ms_net, so linking
+// ms_telemetry would close a cycle; anything that already links telemetry
+// can include this and export profiler state as ordinary registry series,
+// which buys the Prometheus/JSONL wire formats and the mergeable
+// SketchSnapshot form for free.
 //
 // Series emitted (all prefixed `prof_` so dashboards can split "simulator
 // self-measurement" from "simulated cluster"):
@@ -12,7 +12,7 @@
 //   prof_scope_total_seconds{scope=...}  counter  inclusive time per scope
 //   prof_scope_samples{scope=...}        counter  times the scope closed
 //   prof_scope_seconds{scope=...}        histogram  sample durations
-//   prof_events_total / prof_allocs_total / prof_wall_seconds
+//   prof_events_total / prof_wall_seconds
 #pragma once
 
 #include <string>
@@ -29,7 +29,6 @@ namespace ms::prof {
 inline void export_profile(const ProfileReport& report,
                            telemetry::MetricsRegistry& registry) {
   registry.counter("prof_events_total").add(static_cast<double>(report.events));
-  registry.counter("prof_allocs_total").add(static_cast<double>(report.allocs));
   registry.counter("prof_wall_seconds")
       .add(wall_to_seconds(static_cast<WallNs>(report.wall_ns)));
   for (const ScopeStats& s : report.scopes) {

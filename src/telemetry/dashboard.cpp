@@ -156,19 +156,6 @@ void TrainingDashboard::record_diagnosis(const diag::StepDiagnosis& diagnosis) {
   }
 }
 
-void TrainingDashboard::record_calibration(const CalibrationSummary& summary) {
-  calib_ = summary;
-  has_calib_ = true;
-  if (registry_ != nullptr) {
-    auto& m = *registry_;
-    m.gauge("dashboard_calib_fit_ok").set(summary.fit_ok ? 1.0 : 0.0);
-    m.gauge("dashboard_calib_fit_rel_rms").set(summary.fit_rel_rms);
-    m.gauge("dashboard_calib_replay_error").set(summary.replay_rel_error);
-    m.gauge("dashboard_calib_replay_within_tolerance")
-        .set(summary.replay_within_tolerance ? 1.0 : 0.0);
-  }
-}
-
 double TrainingDashboard::mean_mfu() const {
   if (steps_.empty()) return 0;
   double sum = 0;
@@ -277,26 +264,6 @@ std::string TrainingDashboard::report() const {
                  std::string(diag::segment_kind_name(top.cause)) + " (" + who +
                      "): " + format_duration(top.total) + " / " +
                      Table::fmt_pct(top.share)});
-    }
-  }
-  if (has_calib_) {
-    t.add_separator();
-    t.add_row({"calibration fit", calib_.fit_ok
-                                      ? "ok, rel-RMS " +
-                                            Table::fmt_pct(calib_.fit_rel_rms, 2)
-                                      : "FAILED"});
-    if (calib_.fit_ok) {
-      t.add_row({"calibration replay",
-                 Table::fmt_pct(calib_.replay_rel_error, 2) + " vs tolerance " +
-                     Table::fmt_pct(calib_.replay_tolerance, 1) +
-                     (calib_.replay_within_tolerance ? " (ok)"
-                                                     : " (OUT OF TOLERANCE)")});
-      if (calib_.gemm_efficiency > 0) {
-        t.add_row({"fitted efficiencies (gemm/attn/mem)",
-                   Table::fmt(calib_.gemm_efficiency, 3) + " / " +
-                       Table::fmt(calib_.attention_efficiency, 3) + " / " +
-                       Table::fmt(calib_.memory_efficiency, 3)});
-      }
     }
   }
   if (registry_ != nullptr) {

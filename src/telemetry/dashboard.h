@@ -38,20 +38,6 @@ struct StepReport {
   TimeNs optimizer = 0;
 };
 
-/// Outcome of a `msdiag calibrate` run (plain data — the calibration
-/// subsystem depends on telemetry, not the other way around). Feed it via
-/// record_calibration so the fidelity loop shows up next to throughput.
-struct CalibrationSummary {
-  bool fit_ok = false;
-  double fit_rel_rms = 0;       ///< pooled residual of the parameter fit
-  double replay_rel_error = 0;  ///< |sim - trace| / trace after replay
-  double replay_tolerance = 0;
-  bool replay_within_tolerance = false;
-  double gemm_efficiency = 0;       ///< 0 = unfitted
-  double attention_efficiency = 0;  ///< 0 = unfitted
-  double memory_efficiency = 0;     ///< 0 = unfitted
-};
-
 class TrainingDashboard {
  public:
   /// `registry` (optional, not owned): step summaries are mirrored into it
@@ -75,11 +61,6 @@ class TrainingDashboard {
   /// top culprit joins the report table (§5.2).
   void record_diagnosis(const diag::StepDiagnosis& diagnosis);
 
-  /// Calibration outcome (fit residual + replay error). Mirrored as
-  /// dashboard_calib_* gauges and rendered as a report section, so a drifting
-  /// simulator shows up on the same page as a drifting MFU.
-  void record_calibration(const CalibrationSummary& summary);
-
   const std::vector<StepReport>& steps() const { return steps_; }
   double mean_mfu() const;
 
@@ -101,8 +82,6 @@ class TrainingDashboard {
   ft::RunReport health_;
   bool has_diag_ = false;
   diag::StepDiagnosis diag_;
-  bool has_calib_ = false;
-  CalibrationSummary calib_;
 };
 
 }  // namespace ms::telemetry

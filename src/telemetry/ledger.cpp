@@ -41,16 +41,6 @@ void RunLedger::set_steady_state(const SteadyState& steady) {
   steady_ = steady;
 }
 
-void RunLedger::set_steady_state(const engine::JobConfig& cfg,
-                                 const engine::IterationResult& result) {
-  SteadyState s;
-  s.step_time = result.iteration_time;
-  s.mfu = result.mfu;
-  s.tokens_per_second = result.tokens_per_second;
-  (void)cfg;
-  steady_ = s;
-}
-
 void RunLedger::add_lost(TimeNs at, TimeNs duration, LostCause cause) {
   if (duration <= 0) return;
   lost_.push_back({at, duration, cause});

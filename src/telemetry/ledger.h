@@ -113,9 +113,6 @@ class RunLedger {
   explicit RunLedger(const LedgerConfig& cfg);
 
   void set_steady_state(const SteadyState& steady);
-  /// Convenience: derive the steady rate from one simulated iteration.
-  void set_steady_state(const engine::JobConfig& cfg,
-                        const engine::IterationResult& result);
 
   /// Replays an ft run report onto the timeline: per incident a detection
   /// window, a recovery window, a redo (lost-progress) window and a

@@ -1,9 +1,8 @@
 #include "telemetry/metrics.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
-
-#include "core/log.h"
 
 namespace ms::telemetry {
 
@@ -54,7 +53,9 @@ MetricsRegistry::Cell& MetricsRegistry::cell(const std::string& name,
   auto it = index_.find(key);
   if (it != index_.end()) {
     if (it->second->kind != kind) {
-      MS_LOG_ERROR << "metric '" << name << "' re-registered as a different kind";
+      std::fprintf(stderr,
+                   "[ERROR] metric '%s' re-registered as a different kind\n",
+                   name.c_str());
       std::abort();
     }
     return *it->second;
@@ -117,15 +118,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.samples.push_back(std::move(o));
   }
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  MutexLock lock(mu_);
-  for (auto& c : cells_) {
-    c.counter.reset();
-    c.gauge.reset();
-    c.histogram.reset();
-  }
 }
 
 std::size_t MetricsRegistry::series_count() const {

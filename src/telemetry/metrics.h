@@ -6,8 +6,7 @@
 // HDR-sketch histograms, each keyed by a label set ({rank=3, op=allgather}),
 // registered once and updated lock-free (counters/gauges) or under a
 // per-cell mutex (histograms). A snapshot copies every series out as plain
-// data for the exporters (Prometheus text, JSONL, dashboards); reset()
-// zeroes values while keeping the registrations, giving per-step windows.
+// data for the exporters (Prometheus text, JSONL, dashboards).
 //
 // Handles returned by counter()/gauge()/histogram() stay valid for the
 // registry's lifetime (cells live in a std::deque), so hot paths resolve
@@ -45,7 +44,6 @@ class Counter {
     }
   }
   double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> v_{0.0};
@@ -56,7 +54,6 @@ class Gauge {
  public:
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
   double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> v_{0.0};
@@ -74,11 +71,6 @@ class Histogram {
     MutexLock lock(mu_);
     return hist_;
   }
-  void reset() {
-    MutexLock lock(mu_);
-    hist_ = HdrHistogram();
-  }
-
  private:
   mutable Mutex mu_;
   HdrHistogram hist_ MS_GUARDED_BY(mu_);
@@ -117,9 +109,6 @@ class MetricsRegistry {
 
   /// Copies every series in registration order.
   MetricsSnapshot snapshot() const;
-
-  /// Zeroes all values; registrations (and handles) survive.
-  void reset();
 
   std::size_t series_count() const;
 

@@ -1,42 +1,10 @@
 #include "telemetry/trace.h"
 
-#include "core/log.h"
-
 namespace ms::telemetry {
-
-void Tracer::set_clock(std::function<TimeNs()> clock) {
-  MutexLock lock(mu_);
-  clock_ = std::move(clock);
-}
-
-void Tracer::attach(const sim::Engine& engine) {
-  set_clock([&engine] { return engine.now(); });
-}
-
-TimeNs Tracer::now() const {
-  MutexLock lock(mu_);
-  return clock_ ? clock_() : 0;
-}
 
 void Tracer::record(diag::TraceSpan span) {
   MutexLock lock(mu_);
   spans_.push_back(std::move(span));
-}
-
-void Tracer::record_clocked(diag::TraceSpan span) {
-  MutexLock lock(mu_);
-  if (!clock_ && !warned_frozen_clock_) {
-    warned_frozen_clock_ = true;
-    MS_LOG_WARN << "Tracer: span \"" << span.name
-                << "\" recorded against the default frozen-at-0 clock — did "
-                   "you forget Tracer::attach(engine)/set_clock()?";
-  }
-  spans_.push_back(std::move(span));
-}
-
-void Tracer::record(int rank, const std::string& name, const std::string& tag,
-                    TimeNs start, TimeNs end) {
-  record(diag::TraceSpan{rank, name, tag, start, end});
 }
 
 void Tracer::record(int rank, const std::string& name, const std::string& tag,
@@ -66,29 +34,6 @@ diag::TimelineTrace Tracer::timeline(
     if (keep(s)) trace.add(s);
   }
   return trace;
-}
-
-void Tracer::clear() {
-  MutexLock lock(mu_);
-  spans_.clear();
-}
-
-ScopedSpan::ScopedSpan(Tracer& tracer, int rank, std::string name,
-                       std::string tag)
-    : tracer_(tracer) {
-  span_.rank = rank;
-  span_.name = std::move(name);
-  span_.tag = std::move(tag);
-  span_.start = tracer_.now();
-}
-
-ScopedSpan::~ScopedSpan() { close(); }
-
-void ScopedSpan::close() {
-  if (!open_) return;
-  open_ = false;
-  span_.end = tracer_.now();
-  tracer_.record_clocked(std::move(span_));
 }
 
 }  // namespace ms::telemetry

@@ -1,10 +1,11 @@
-// Engine-integrated scoped tracing (MegaScale §5.1).
+// Span sink for the engine's traced iterations (MegaScale §5.1).
 //
-// A Tracer is a thread-safe span sink bound to a clock — usually the
-// discrete-event engine's simulated time — plus RAII spans for scoped
-// instrumentation. Spans reuse diag::TraceSpan, so everything recorded
-// here feeds directly into the §5 diagnosis tools (timeline rendering,
-// bubble accounting, Chrome-trace export) without a conversion layer.
+// A Tracer is a thread-safe, append-only list of finished spans with
+// caller-provided timestamps; `engine::simulate_iteration` records one
+// span per op when `JobConfig::tracer` is set. Spans reuse
+// diag::TraceSpan, so everything recorded here feeds directly into the §5
+// diagnosis tools (timeline rendering, bubble accounting, Chrome-trace
+// export) without a conversion layer.
 #pragma once
 
 #include <functional>
@@ -15,7 +16,6 @@
 #include "core/thread_annotations.h"
 #include "core/time.h"
 #include "diag/timeline.h"
-#include "sim/engine.h"
 
 namespace ms::telemetry {
 
@@ -25,17 +25,8 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Clock the spans read their timestamps from. Defaults to a clock
-  /// frozen at 0; attach the simulation engine (or any TimeNs source)
-  /// before opening spans.
-  void set_clock(std::function<TimeNs()> clock);
-  void attach(const sim::Engine& engine);
-  TimeNs now() const;
-
-  /// Appends one finished span (caller-provided timestamps). Thread-safe.
+  /// Appends one finished span. Thread-safe.
   void record(diag::TraceSpan span);
-  void record(int rank, const std::string& name, const std::string& tag,
-              TimeNs start, TimeNs end);
   void record(int rank, const std::string& name, const std::string& tag,
               TimeNs start, TimeNs end, std::string detail);
 
@@ -48,38 +39,9 @@ class Tracer {
   diag::TimelineTrace timeline(
       const std::function<bool(const diag::TraceSpan&)>& keep) const;
 
-  void clear();
-
  private:
-  friend class ScopedSpan;
-  /// ScopedSpan's sink: same as record(), but warns once (per tracer, via
-  /// the log hook) when spans are timestamped by the default frozen-at-0
-  /// clock — the signature of a forgotten attach(engine)/set_clock().
-  void record_clocked(diag::TraceSpan span);
-
   mutable Mutex mu_;
-  std::function<TimeNs()> clock_ MS_GUARDED_BY(mu_);
   std::vector<diag::TraceSpan> spans_ MS_GUARDED_BY(mu_);
-  bool warned_frozen_clock_ MS_GUARDED_BY(mu_) = false;
-};
-
-/// RAII span: opens at construction time (tracer clock), records on
-/// destruction or on close(). Advance the clock in between — in simulation
-/// that means running engine events — and the span brackets the activity.
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer& tracer, int rank, std::string name, std::string tag = "");
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// Ends the span early; the destructor becomes a no-op.
-  void close();
-
- private:
-  Tracer& tracer_;
-  diag::TraceSpan span_;
-  bool open_ = true;
 };
 
 }  // namespace ms::telemetry

@@ -3,8 +3,8 @@
 // ingestion across both artifact families (span JSONL and quirky
 // Kineto/Chrome JSON), span classification, the round-trip acceptance gate
 // (emit with known parameters -> fit recovers them within 1% -> replay
-// within tolerance), determinism digests, golden-fixture agreement, metric
-// export, dashboard integration, and the CLI entry point.
+// within tolerance), determinism digests, golden-fixture agreement, and the
+// CLI entry point.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,9 +22,7 @@
 #include "core/json.h"
 #include "diag/artifact.h"
 #include "engine/job.h"
-#include "telemetry/dashboard.h"
 #include "telemetry/exporters.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace {
@@ -612,76 +610,6 @@ TEST(CalibReplay, MisfitParametersAreOutOfTolerance) {
   ASSERT_TRUE(replay.ok) << replay.error;
   EXPECT_FALSE(replay.within_tolerance);
   EXPECT_GT(replay.rel_error, 0.02);
-}
-
-// --------------------------------------------------------- metrics export
-
-TEST(CalibMetrics, FitAndReplayExportGauges) {
-  const auto spans = emit_fixture_trace();
-  const engine::JobConfig base = calib::fixture_config();
-  const calib::CalibrationReport report = calib::fit_trace(spans, base);
-  ASSERT_TRUE(report.ok);
-  const calib::ReplayResult replay =
-      calib::replay_fit(spans, report, base, 0.02);
-  ASSERT_TRUE(replay.ok);
-
-  telemetry::MetricsRegistry metrics;
-  calib::export_metrics(report, metrics);
-  calib::export_metrics(replay, metrics);
-  const telemetry::MetricsSnapshot snap = metrics.snapshot();
-
-  const auto* fit_ok = snap.find("calib_fit_ok");
-  ASSERT_NE(fit_ok, nullptr);
-  EXPECT_DOUBLE_EQ(fit_ok->value, 1.0);
-  const auto* gemm = snap.find("calib_gemm_efficiency");
-  ASSERT_NE(gemm, nullptr);
-  EXPECT_NEAR(gemm->value, kTrueGemm, 0.01 * kTrueGemm);
-  const auto* alpha =
-      snap.find("calib_alpha_seconds", {{"domain", "inter"}});
-  ASSERT_NE(alpha, nullptr);
-  EXPECT_NEAR(alpha->value, to_seconds(base.cluster.net_latency),
-              0.01 * to_seconds(base.cluster.net_latency));
-  const auto* residual = snap.find("calib_residual", {{"class", "fwd"}});
-  ASSERT_NE(residual, nullptr);
-  EXPECT_GE(residual->value, 0.0);
-  // Unfitted coverage classes export the -1 sentinel, not a fake zero.
-  const auto* recv = snap.find("calib_residual", {{"class", "recv"}});
-  ASSERT_NE(recv, nullptr);
-  EXPECT_DOUBLE_EQ(recv->value, -1.0);
-
-  const auto* replay_err = snap.find("calib_replay_error");
-  ASSERT_NE(replay_err, nullptr);
-  EXPECT_LT(replay_err->value, 0.02);
-  const auto* within = snap.find("calib_replay_within_tolerance");
-  ASSERT_NE(within, nullptr);
-  EXPECT_DOUBLE_EQ(within->value, 1.0);
-}
-
-TEST(CalibMetrics, DashboardRendersCalibrationSection) {
-  telemetry::MetricsRegistry metrics;
-  telemetry::TrainingDashboard dashboard(&metrics);
-  telemetry::CalibrationSummary summary;
-  summary.fit_ok = true;
-  summary.fit_rel_rms = 0.004;
-  summary.replay_rel_error = 0.011;
-  summary.replay_tolerance = 0.02;
-  summary.replay_within_tolerance = true;
-  summary.gemm_efficiency = kTrueGemm;
-  summary.attention_efficiency = kTrueAttn;
-  summary.memory_efficiency = kTrueMem;
-  dashboard.record_calibration(summary);
-
-  const std::string report = dashboard.report();
-  EXPECT_NE(report.find("calibration fit"), std::string::npos);
-  EXPECT_NE(report.find("calibration replay"), std::string::npos);
-
-  const telemetry::MetricsSnapshot snap = metrics.snapshot();
-  const auto* fit_ok = snap.find("dashboard_calib_fit_ok");
-  ASSERT_NE(fit_ok, nullptr);
-  EXPECT_DOUBLE_EQ(fit_ok->value, 1.0);
-  const auto* err = snap.find("dashboard_calib_replay_error");
-  ASSERT_NE(err, nullptr);
-  EXPECT_DOUBLE_EQ(err->value, 0.011);
 }
 
 // ------------------------------------------------------------ CLI frontend

@@ -186,24 +186,6 @@ TEST(RunningStat, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStat, MergeEqualsCombined) {
-  Rng r(43);
-  RunningStat a, b, all;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = r.normal();
-    if (i % 2) {
-      a.add(v);
-    } else {
-      b.add(v);
-    }
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-}
-
 TEST(RunningStat, EmptyIsSafe) {
   RunningStat s;
   EXPECT_TRUE(s.empty());
@@ -227,28 +209,6 @@ TEST(Percentiles, InterleavedAddAndQuery) {
   EXPECT_NEAR(p.median(), 2.0, 1e-9);
   p.add(2.0);
   EXPECT_NEAR(p.median(), 2.0, 1e-9);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  h.add(-1.0);
-  h.add(11.0);
-  EXPECT_EQ(h.total(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(h.bucket(i), 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(3), 4.0);
-}
-
-TEST(Histogram, AsciiRenders) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string art = h.ascii(20);
-  EXPECT_NE(art.find('#'), std::string::npos);
 }
 
 TEST(Series, TailMean) {

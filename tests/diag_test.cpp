@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "core/json.h"
 #include "diag/heatmap.h"
-#include "diag/stream.h"
 #include "diag/timeline.h"
 #include "diag/viz3d.h"
 
@@ -244,15 +241,6 @@ TEST(Viz3d, DescribeListsAllGroups) {
   EXPECT_NE(desc.find("send activations"), std::string::npos);
 }
 
-TEST(Viz3d, DotGraphHasEdges) {
-  Parallel3DVisualizer viz(viz_cfg());
-  const std::string dot = viz.dot_graph(0);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"tp\""), std::string::npos);
-  EXPECT_NE(dot.find("label=\"dp\""), std::string::npos);
-  EXPECT_NE(dot.find("label=\"pp\""), std::string::npos);
-}
-
 TEST(Viz3d, LocatesHungRankFromSilence) {
   // World of 8; rank 5 hangs. Everyone else logs a blocked op.
   Parallel3DVisualizer viz(viz_cfg());
@@ -280,68 +268,6 @@ TEST(Viz3d, MultipleHungRanksAllFound) {
   }
   auto suspects = viz.locate_hung_ranks(logs);
   EXPECT_EQ(suspects, (std::vector<int>{2, 6}));
-}
-
-// ---------------------------------------------------------------- stream
-
-TEST(Stream, StoreAggregatesPerRankSegment) {
-  EventStore store;
-  store.ingest({.rank = 0, .step = 1, .segment = "fwd", .duration = seconds(1.0)});
-  store.ingest({.rank = 0, .step = 2, .segment = "fwd", .duration = seconds(3.0)});
-  EXPECT_EQ(store.total_events(), 2u);
-  EXPECT_EQ(store.mean_duration(0, "fwd"), seconds(2.0));
-  EXPECT_EQ(store.mean_duration(0, "bwd"), 0);
-}
-
-TEST(Stream, StepDrillDown) {
-  EventStore store;
-  store.ingest({.rank = 0, .step = 7, .segment = "fwd", .duration = 1});
-  store.ingest({.rank = 1, .step = 7, .segment = "bwd", .duration = 2});
-  store.ingest({.rank = 0, .step = 8, .segment = "fwd", .duration = 3});
-  EXPECT_EQ(store.step_records(7).size(), 2u);
-  EXPECT_EQ(store.step_records(9).size(), 0u);
-}
-
-TEST(Stream, StreamerDeliversEverything) {
-  EventStore store;
-  {
-    EventStreamer streamer(store, 64);
-    for (int i = 0; i < 1000; ++i) {
-      ASSERT_TRUE(streamer.publish(
-          {.rank = i % 8, .step = i, .segment = "fwd", .duration = seconds(0.01)}));
-    }
-    streamer.close();
-  }
-  EXPECT_EQ(store.total_events(), 1000u);
-}
-
-TEST(Stream, MultipleProducers) {
-  EventStore store;
-  {
-    EventStreamer streamer(store, 32);
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 4; ++p) {
-      producers.emplace_back([&, p] {
-        for (int i = 0; i < 250; ++i) {
-          streamer.publish({.rank = p, .step = i, .segment = "bwd",
-                            .duration = seconds(0.02)});
-        }
-      });
-    }
-    for (auto& t : producers) t.join();
-    streamer.close();
-  }
-  EXPECT_EQ(store.total_events(), 1000u);
-  EXPECT_NEAR(static_cast<double>(store.mean_duration(2, "bwd")),
-              static_cast<double>(milliseconds(20.0)), 1.0);
-}
-
-TEST(Stream, PublishAfterCloseFails) {
-  EventStore store;
-  EventStreamer streamer(store);
-  streamer.close();
-  EXPECT_FALSE(streamer.publish({.rank = 0, .step = 0, .segment = "fwd",
-                                 .duration = 1}));
 }
 
 }  // namespace

@@ -57,21 +57,25 @@ TEST(Collectives, ReduceScatterThenAllGatherEqualsAllReduce) {
   auto copies = inputs;
   std::vector<Buffer*> copy_ptrs;
   for (auto& b : copies) copy_ptrs.push_back(&b);
-  all_reduce_sum(copy_ptrs);
+  ring_all_reduce_sum(copy_ptrs);
   ASSERT_EQ(gathered.size(), copies[0].size());
   for (std::size_t i = 0; i < gathered.size(); ++i) {
     EXPECT_NEAR(gathered[i], copies[0][i], 1e-5);
   }
 }
 
-TEST(Collectives, BroadcastCopiesRoot) {
-  Buffer a{1, 2, 3}, b{0, 0, 0}, c{9, 9, 9};
-  broadcast_from({&a, &b, &c}, 0);
-  EXPECT_EQ(b, a);
-  EXPECT_EQ(c, a);
-}
-
 // -------------------------------------------------------- tensor parallel
+
+// Columns [begin, begin + count) of a 2-D tensor, as a fresh leaf.
+Tensor cols(const Tensor& a, int begin, int count) {
+  const int m = a.dim(0), n = a.dim(1);
+  std::vector<float> out;
+  for (int i = 0; i < m; ++i) {
+    const float* row = a.data() + static_cast<std::size_t>(i) * n + begin;
+    out.insert(out.end(), row, row + count);
+  }
+  return Tensor::from(std::move(out), {m, count});
+}
 
 TEST(TensorParallel, ColumnParallelForwardMatchesSerial) {
   Rng rng(10);
@@ -81,11 +85,17 @@ TEST(TensorParallel, ColumnParallelForwardMatchesSerial) {
   const Tensor serial = optim::add(optim::matmul(x, w), b);
   for (int shards : {2, 3, 4}) {
     ColumnParallelLinear cp(w, b, shards);
-    const Tensor parallel = cp.forward(x);
-    ASSERT_EQ(parallel.shape(), serial.shape());
-    for (std::int64_t i = 0; i < serial.numel(); ++i) {
-      EXPECT_NEAR(parallel.data()[i], serial.data()[i], 1e-5)
-          << "shards=" << shards;
+    const auto parallel = cp.forward_sharded(x);
+    ASSERT_EQ(parallel.size(), static_cast<std::size_t>(shards));
+    const int per = 12 / shards;
+    for (int s = 0; s < shards; ++s) {
+      const Tensor want = cols(serial, s * per, per);
+      const Tensor& got = parallel[static_cast<std::size_t>(s)];
+      ASSERT_EQ(got.shape(), want.shape());
+      for (std::int64_t i = 0; i < want.numel(); ++i) {
+        EXPECT_NEAR(got.data()[i], want.data()[i], 1e-5)
+            << "shards=" << shards << " s=" << s;
+      }
     }
   }
 }
@@ -98,7 +108,10 @@ TEST(TensorParallel, RowParallelForwardMatchesSerial) {
   const Tensor serial = optim::add(optim::matmul(x, w), b);
   for (int shards : {2, 3, 4}) {
     RowParallelLinear rp(w, b, shards);
-    const Tensor parallel = rp.forward(x);
+    const int per = 12 / shards;
+    std::vector<Tensor> x_shards;
+    for (int s = 0; s < shards; ++s) x_shards.push_back(cols(x, s * per, per));
+    const Tensor parallel = rp.forward_sharded(x_shards);
     for (std::int64_t i = 0; i < serial.numel(); ++i) {
       EXPECT_NEAR(parallel.data()[i], serial.data()[i], 1e-5)
           << "shards=" << shards;
@@ -116,10 +129,13 @@ TEST(TensorParallel, ColumnParallelGradientsMatchWeightSlices) {
   Tensor serial_out = optim::add(optim::matmul(x, w), b);
   optim::sum(optim::mul(serial_out, serial_out)).backward();
 
-  // Parallel gradients.
+  // Parallel gradients: the same loss, summed over the output shards.
   ColumnParallelLinear cp(w, b, 2);
-  Tensor par_out = cp.forward(x);
-  optim::sum(optim::mul(par_out, par_out)).backward();
+  std::vector<Tensor> shard_losses;
+  for (const Tensor& out : cp.forward_sharded(x)) {
+    shard_losses.push_back(optim::sum(optim::mul(out, out)));
+  }
+  optim::add_n(shard_losses).backward();
 
   // Shard s's weight grad must equal the matching column slice of dW.
   for (int s = 0; s < 2; ++s) {

@@ -1,12 +1,9 @@
-// Tests for the second extension batch: hierarchical all-reduce, Chrome
-// trace export, LR schedules and gradient clipping.
+// Tests for the second extension batch: hierarchical all-reduce and Chrome
+// trace export.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "collective/comm.h"
 #include "diag/timeline.h"
-#include "optim/schedule.h"
 
 namespace ms {
 namespace {
@@ -81,72 +78,6 @@ TEST(ChromeTrace, EmitsValidEventObjects) {
 TEST(ChromeTrace, EmptyTraceIsValid) {
   diag::TimelineTrace trace;
   EXPECT_EQ(trace.chrome_trace_json(), "{\"traceEvents\":[]}");
-}
-
-// ------------------------------------------------------------ lr schedule
-
-TEST(LrSchedule, LinearWarmup) {
-  optim::LrSchedule sched{.base_lr = 1.0f, .min_lr = 0.0f,
-                          .warmup_steps = 10, .total_steps = 100};
-  EXPECT_NEAR(sched.at(0), 0.1f, 1e-6);
-  EXPECT_NEAR(sched.at(4), 0.5f, 1e-6);
-  EXPECT_NEAR(sched.at(9), 1.0f, 1e-6);
-}
-
-TEST(LrSchedule, CosineDecayToMin) {
-  optim::LrSchedule sched{.base_lr = 1.0f, .min_lr = 0.1f,
-                          .warmup_steps = 0, .total_steps = 100};
-  EXPECT_NEAR(sched.at(0), 1.0f, 1e-5);
-  EXPECT_NEAR(sched.at(50), 0.55f, 1e-2);  // halfway through the cosine
-  EXPECT_NEAR(sched.at(100), 0.1f, 1e-6);
-  EXPECT_NEAR(sched.at(5000), 0.1f, 1e-6);  // holds min after the end
-}
-
-TEST(LrSchedule, MonotoneDecreasingAfterWarmup) {
-  optim::LrSchedule sched{.base_lr = 3e-4f, .min_lr = 3e-5f,
-                          .warmup_steps = 20, .total_steps = 200};
-  float prev = sched.at(20);
-  for (int step = 21; step <= 200; ++step) {
-    const float lr = sched.at(step);
-    EXPECT_LE(lr, prev + 1e-9);
-    prev = lr;
-  }
-}
-
-// ------------------------------------------------------------- grad clip
-
-TEST(GradClip, NoOpBelowThreshold) {
-  auto w = optim::Tensor::from({1.0f, 2.0f}, {2}, true);
-  w.grad()[0] = 0.3f;
-  w.grad()[1] = 0.4f;  // norm 0.5
-  std::vector<optim::Param> params{{"w", w}};
-  const float norm = optim::clip_grad_norm(params, 1.0f);
-  EXPECT_NEAR(norm, 0.5f, 1e-6);
-  EXPECT_FLOAT_EQ(w.grad()[0], 0.3f);
-}
-
-TEST(GradClip, ScalesDownToMaxNorm) {
-  auto w = optim::Tensor::from({0.0f, 0.0f}, {2}, true);
-  w.grad()[0] = 3.0f;
-  w.grad()[1] = 4.0f;  // norm 5
-  std::vector<optim::Param> params{{"w", w}};
-  const float norm = optim::clip_grad_norm(params, 1.0f);
-  EXPECT_NEAR(norm, 5.0f, 1e-5);
-  EXPECT_NEAR(w.grad()[0], 0.6f, 1e-6);
-  EXPECT_NEAR(w.grad()[1], 0.8f, 1e-6);
-  // Post-clip norm is exactly the cap.
-  EXPECT_NEAR(std::hypot(w.grad()[0], w.grad()[1]), 1.0f, 1e-5);
-}
-
-TEST(GradClip, GlobalAcrossParams) {
-  auto a = optim::Tensor::from({0.0f}, {1}, true);
-  auto b = optim::Tensor::from({0.0f}, {1}, true);
-  a.grad()[0] = 3.0f;
-  b.grad()[0] = 4.0f;
-  std::vector<optim::Param> params{{"a", a}, {"b", b}};
-  optim::clip_grad_norm(params, 1.0f);
-  EXPECT_NEAR(a.grad()[0], 0.6f, 1e-6);
-  EXPECT_NEAR(b.grad()[0], 0.8f, 1e-6);
 }
 
 }  // namespace

@@ -1,80 +1,16 @@
-// Tests for the third extension batch: dynamic loss scaling, activation
-// recomputation, and the launch-skew analyzer.
+// Tests for the third extension batch: activation recomputation and the
+// launch-skew analyzer.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
+#include "core/rng.h"
 #include "diag/skew.h"
 #include "engine/job.h"
 #include "model/memory.h"
-#include "optim/schedule.h"
 
 namespace ms {
 namespace {
-
-// ------------------------------------------------------------ loss scaler
-
-TEST(LossScaler, OverflowHalvesAndSkips) {
-  optim::DynamicLossScaler scaler(1024.0f);
-  EXPECT_FALSE(scaler.update(/*overflow=*/true));
-  EXPECT_FLOAT_EQ(scaler.scale(), 512.0f);
-  EXPECT_EQ(scaler.steps_skipped(), 1);
-}
-
-TEST(LossScaler, GrowsAfterCleanInterval) {
-  optim::DynamicLossScaler scaler(1024.0f, /*growth_interval=*/4);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(scaler.update(false));
-    EXPECT_FLOAT_EQ(scaler.scale(), 1024.0f);
-  }
-  EXPECT_TRUE(scaler.update(false));  // 4th clean step doubles
-  EXPECT_FLOAT_EQ(scaler.scale(), 2048.0f);
-}
-
-TEST(LossScaler, OverflowResetsGrowthCounter) {
-  optim::DynamicLossScaler scaler(1024.0f, 3);
-  scaler.update(false);
-  scaler.update(false);
-  scaler.update(true);  // halves, resets counter
-  EXPECT_FLOAT_EQ(scaler.scale(), 512.0f);
-  scaler.update(false);
-  scaler.update(false);
-  EXPECT_FLOAT_EQ(scaler.scale(), 512.0f);  // not yet 3 clean steps
-  scaler.update(false);
-  EXPECT_FLOAT_EQ(scaler.scale(), 1024.0f);
-}
-
-TEST(LossScaler, ScaleClampedToBounds) {
-  optim::DynamicLossScaler scaler(2.0f, 1, /*min=*/1.0f, /*max=*/4.0f);
-  scaler.update(true);
-  scaler.update(true);
-  EXPECT_FLOAT_EQ(scaler.scale(), 1.0f);  // clamped at min
-  scaler.update(false);
-  scaler.update(false);
-  scaler.update(false);
-  EXPECT_FLOAT_EQ(scaler.scale(), 4.0f);  // clamped at max
-}
-
-TEST(LossScaler, DetectsNonFiniteGradients) {
-  auto w = optim::Tensor::from({1.0f, 2.0f}, {2}, true);
-  w.grad()[0] = 1.0f;
-  std::vector<optim::Param> params{{"w", w}};
-  EXPECT_FALSE(optim::DynamicLossScaler::gradients_overflowed(params));
-  w.grad()[1] = std::numeric_limits<float>::infinity();
-  EXPECT_TRUE(optim::DynamicLossScaler::gradients_overflowed(params));
-  w.grad()[1] = std::nanf("");
-  EXPECT_TRUE(optim::DynamicLossScaler::gradients_overflowed(params));
-}
-
-TEST(LossScaler, UnscaleDividesGradients) {
-  auto w = optim::Tensor::from({0.0f}, {1}, true);
-  w.grad()[0] = 2048.0f;
-  std::vector<optim::Param> params{{"w", w}};
-  optim::DynamicLossScaler scaler(1024.0f);
-  scaler.unscale(params);
-  EXPECT_FLOAT_EQ(w.grad()[0], 2.0f);
-}
 
 // ------------------------------------------------------ recompute option
 

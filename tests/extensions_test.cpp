@@ -87,8 +87,9 @@ TEST(Memory, GpipeBlowsUpAtLargeMicrobatchCounts) {
       peak_inflight_microbatches(gpipe_schedule_for_stage(8, 0, 192));
   const int f1b_inflight =
       peak_inflight_microbatches(schedule_for_stage(8, 0, 1, 192));
-  EXPECT_FALSE(model::fits_memory(cfg, par, gpipe_inflight));
-  EXPECT_TRUE(model::fits_memory(cfg, par, f1b_inflight));
+  const double hbm = model::MemoryConfig{}.gpu_hbm_bytes;
+  EXPECT_GT(model::peak_memory(cfg, par, gpipe_inflight).total(), hbm);
+  EXPECT_LE(model::peak_memory(cfg, par, f1b_inflight).total(), hbm);
 }
 
 TEST(Memory, Zero3ShardsWeights) {

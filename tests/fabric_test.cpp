@@ -130,7 +130,6 @@ TEST(Observatory, UtilizationNormalizesByCapacityAndCadence) {
   const auto samples = obs.samples(l);
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_DOUBLE_EQ(obs.utilization(l, samples[0]), 0.5);
-  EXPECT_DOUBLE_EQ(obs.mean_utilization(l), 0.5);
 }
 
 // -------------------------------------------- passivity and determinism

@@ -1,92 +1,16 @@
-// Coverage for remaining utilities: the logger, table separators, the
-// Young/Daly checkpoint-interval optimum, and data-pipeline parameter
-// sweeps (TEST_P).
+// Coverage for remaining utilities: table separators, the Young/Daly
+// checkpoint-interval optimum, and data-pipeline parameter sweeps (TEST_P).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 #include <vector>
 
-#include "core/log.h"
 #include "core/table.h"
 #include "data/pipeline.h"
 #include "ft/checkpoint.h"
 
 namespace ms {
 namespace {
-
-// ------------------------------------------------------------------- log
-
-TEST(Log, LevelThresholdFilters) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Macros below the threshold must not evaluate their stream arguments.
-  int evaluations = 0;
-  auto count = [&] {
-    ++evaluations;
-    return "msg";
-  };
-  MS_LOG_DEBUG << count();
-  MS_LOG_INFO << count();
-  MS_LOG_WARN << count();
-  EXPECT_EQ(evaluations, 0);
-  set_log_level(saved);
-}
-
-TEST(Log, MessageEmittedAtOrAboveThreshold) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kDebug);
-  int evaluations = 0;
-  auto count = [&] {
-    ++evaluations;
-    return "msg";
-  };
-  MS_LOG_DEBUG << count();
-  MS_LOG_ERROR << count();
-  EXPECT_EQ(evaluations, 2);
-  set_log_level(saved);
-}
-
-TEST(Log, SimulatedTimestampPrefixHook) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kInfo);
-  TimeNs sim_now = seconds(2.5);
-  set_log_timestamp_provider([&] { return sim_now; });
-
-  testing::internal::CaptureStderr();
-  MS_LOG_INFO << "step done";
-  std::string out = testing::internal::GetCapturedStderr();
-  EXPECT_NE(out.find("[INFO]"), std::string::npos);
-  EXPECT_NE(out.find('[' + format_duration(sim_now) + ']'), std::string::npos);
-  EXPECT_NE(out.find("step done"), std::string::npos);
-
-  // Uninstalling the provider drops the prefix again.
-  set_log_timestamp_provider(nullptr);
-  testing::internal::CaptureStderr();
-  MS_LOG_INFO << "no clock";
-  out = testing::internal::GetCapturedStderr();
-  EXPECT_EQ(out.find(format_duration(sim_now)), std::string::npos);
-  set_log_level(saved);
-}
-
-TEST(Log, LevelIsAtomicUnderConcurrentToggles) {
-  const LogLevel saved = log_level();
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([w] {
-      for (int i = 0; i < 1000; ++i) {
-        set_log_level(w % 2 == 0 ? LogLevel::kDebug : LogLevel::kError);
-        const LogLevel seen = log_level();
-        // Whatever interleaving, the load observes a valid enumerator.
-        EXPECT_TRUE(seen == LogLevel::kDebug || seen == LogLevel::kError ||
-                    seen == LogLevel::kInfo || seen == LogLevel::kWarn);
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  set_log_level(saved);
-}
 
 // ----------------------------------------------------------------- table
 

@@ -74,10 +74,6 @@ TEST(Model, MfuScalesLinearlyWithThroughput) {
   EXPECT_NEAR(m2, 2.0 * m1, 1e-12);
 }
 
-TEST(Model, ActivationBytesBf16) {
-  EXPECT_EQ(activation_bytes_per_token(config_175b()), 12288 * 2);
-}
-
 TEST(Model, AttentionSpanCausalHalf) {
   auto cfg = config_175b();
   EXPECT_DOUBLE_EQ(cfg.attention_span(), 1024.0);

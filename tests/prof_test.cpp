@@ -132,8 +132,6 @@ TEST_F(ProfTest, DisabledProfilerCollectsNothing) {
     ScopeTimer t(id);
   }
   for (const auto& s : snapshot()) EXPECT_EQ(s.count, 0u) << s.name;
-  count_alloc(5);
-  EXPECT_EQ(alloc_count(), 0u);
 }
 
 #if defined(MS_PROF_ENABLED) && MS_PROF_ENABLED
@@ -142,7 +140,6 @@ TEST_F(ProfTest, ScopeMacroRecordsWhenCompiledIn) {
   for (int i = 0; i < 3; ++i) {
     MS_PROF_SCOPE("test.macro");
   }
-  MS_PROF_COUNT_ALLOC(2);
   bool found = false;
   for (const auto& s : snapshot()) {
     if (s.name == "test.macro") {
@@ -151,7 +148,6 @@ TEST_F(ProfTest, ScopeMacroRecordsWhenCompiledIn) {
     }
   }
   EXPECT_TRUE(found);
-  EXPECT_EQ(alloc_count(), 2u);
 }
 #else
 TEST_F(ProfTest, ScopeMacroCompilesToNothingWhenOff) {
@@ -159,20 +155,9 @@ TEST_F(ProfTest, ScopeMacroCompilesToNothingWhenOff) {
   for (int i = 0; i < 3; ++i) {
     MS_PROF_SCOPE("test.macro");
   }
-  MS_PROF_COUNT_ALLOC(2);
   for (const auto& s : snapshot()) EXPECT_EQ(s.count, 0u) << s.name;
-  EXPECT_EQ(alloc_count(), 0u);
 }
 #endif
-
-TEST_F(ProfTest, AllocCounterAccumulatesWhenEnabled) {
-  set_enabled(true);
-  count_alloc();
-  count_alloc(4);
-  EXPECT_EQ(alloc_count(), 5u);
-  reset();
-  EXPECT_EQ(alloc_count(), 0u);
-}
 
 TEST_F(ProfTest, TraceRingRecordsSpans) {
   set_enabled(true);
@@ -220,7 +205,6 @@ ProfileReport sample_report() {
   r.workload = "unit";
   r.wall_ns = 1'000'000;
   r.events = 42;
-  r.allocs = 7;
   ScopeStats a;
   a.name = "scope.a";
   a.count = 10;
@@ -276,7 +260,6 @@ TEST(ProfileReportTest, JsonlRoundTrips) {
   EXPECT_EQ(parsed.workload, "unit");
   EXPECT_EQ(parsed.wall_ns, r.wall_ns);
   EXPECT_EQ(parsed.events, r.events);
-  EXPECT_EQ(parsed.allocs, r.allocs);
   ASSERT_EQ(parsed.scopes.size(), 2u);
   EXPECT_EQ(parsed.scopes[0].name, "scope.a");
   EXPECT_EQ(parsed.scopes[0].count, 10u);
@@ -307,7 +290,7 @@ TEST(ProfileReportTest, ParseRejectsMalformedInput) {
   // Negative, NaN and missing numbers fail the load, naming line and field,
   // instead of wrapping to 2^64 - 1 or reading as 0.
   const std::string header =
-      R"({"kind":"profile","workload":"w","wall_ns":1,"events":2,"allocs":0})";
+      R"({"kind":"profile","workload":"w","wall_ns":1,"events":2})";
   const std::string scope = R"({"kind":"scope","name":"s","count":3,)"
                             R"("total_ns":0,"self_ns":0,"min_ns":0,"max_ns":0,)"
                             R"("p50_ns":0,"p99_ns":0})";

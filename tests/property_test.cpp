@@ -148,20 +148,14 @@ TEST_P(PlanProperty, AllReduceBytesMatchTheory) {
   auto plan = collective::ring_all_reduce_plan(n, total);
   // Ring all-reduce: every rank sends 2*(n-1)/n*S.
   const Bytes expected = 2 * (total / n) * (n - 1);
-  for (int r = 0; r < n; ++r) {
-    EXPECT_EQ(collective::bytes_sent_per_rank(plan, r), expected);
-  }
-}
-
-TEST_P(PlanProperty, AllToAllRoundsAreConflictFreePermutations) {
-  const int n = GetParam();
-  auto plan = collective::all_to_all_plan(n, 1024);
+  std::vector<Bytes> sent(static_cast<std::size_t>(n), 0);
   for (const auto& round : plan) {
-    std::set<int> sources, dests;
-    for (const auto& s : round) {
-      EXPECT_TRUE(sources.insert(s.src).second);
-      EXPECT_TRUE(dests.insert(s.dst).second);
+    for (const auto& step : round) {
+      sent[static_cast<std::size_t>(step.src)] += step.bytes;
     }
+  }
+  for (int r = 0; r < n; ++r) {
+    EXPECT_EQ(sent[static_cast<std::size_t>(r)], expected);
   }
 }
 

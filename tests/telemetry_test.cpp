@@ -1,6 +1,6 @@
-// Unified telemetry subsystem: registry semantics, tracer/scoped spans,
-// the three exporters, the training dashboard, and the metric series the
-// instrumented layers (engine, data, ft) actually emit.
+// Unified telemetry subsystem: registry semantics, the span tracer, the
+// three exporters, the training dashboard, and the metric series the
+// instrumented layers (engine, ft) actually emit.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,10 +9,8 @@
 #include <vector>
 
 #include "core/json.h"
-#include "data/pipeline.h"
 #include "engine/job.h"
 #include "ft/workflow.h"
-#include "sim/engine.h"
 #include "telemetry/dashboard.h"
 #include "telemetry/exporters.h"
 #include "telemetry/metrics.h"
@@ -92,71 +90,23 @@ TEST(Metrics, HistogramMergesAcrossInstances) {
   EXPECT_NEAR(merged.quantile(1.0), 0.100, 1e-9);
 }
 
-TEST(Metrics, SnapshotThenResetGivesWindows) {
-  MetricsRegistry reg;
-  auto& c = reg.counter("steps_total");
-  auto& h = reg.histogram("step_seconds");
-  c.add(3);
-  h.observe(0.5);
-  auto snap = reg.snapshot();
-  ASSERT_EQ(snap.samples.size(), 2u);
-  EXPECT_DOUBLE_EQ(snap.find("steps_total")->value, 3.0);
-  EXPECT_EQ(snap.find("step_seconds")->hist.total(), 1u);
-
-  reg.reset();
-  // Registrations and handles survive; values are zeroed.
-  EXPECT_EQ(reg.series_count(), 2u);
-  EXPECT_DOUBLE_EQ(c.value(), 0.0);
-  c.add();
-  EXPECT_DOUBLE_EQ(reg.snapshot().find("steps_total")->value, 1.0);
-  EXPECT_EQ(reg.snapshot().find("step_seconds")->hist.total(), 0u);
-}
-
 // --------------------------------------------------------------- tracer
 
 TEST(Tracer, RecordsSpansInOrder) {
   Tracer tracer;
-  tracer.record(0, "fwd-0", "fwd", 0, 10);
-  tracer.record(1, "bwd-0", "bwd", 10, 30);
+  tracer.record({0, "fwd-0", "fwd", 0, 10});
+  tracer.record({1, "bwd-0", "bwd", 10, 30});
   EXPECT_EQ(tracer.size(), 2u);
   const auto spans = tracer.spans();
   EXPECT_EQ(spans[0].name, "fwd-0");
   EXPECT_EQ(spans[1].rank, 1);
 }
 
-TEST(Tracer, ScopedSpanBracketsClock) {
-  Tracer tracer;
-  TimeNs fake_now = 100;
-  tracer.set_clock([&] { return fake_now; });
-  {
-    ScopedSpan span(tracer, 2, "checkpoint", "io");
-    fake_now = 250;
-  }
-  ASSERT_EQ(tracer.size(), 1u);
-  const auto s = tracer.spans()[0];
-  EXPECT_EQ(s.rank, 2);
-  EXPECT_EQ(s.start, 100);
-  EXPECT_EQ(s.end, 250);
-  EXPECT_EQ(s.tag, "io");
-}
-
-TEST(Tracer, AttachesToSimEngineClock) {
-  sim::Engine engine;
-  Tracer tracer;
-  tracer.attach(engine);
-  auto span = std::make_unique<ScopedSpan>(tracer, 0, "phase", "work");
-  engine.at(seconds(1.0), [&] { span->close(); });
-  engine.run();
-  ASSERT_EQ(tracer.size(), 1u);
-  EXPECT_EQ(tracer.spans()[0].start, 0);
-  EXPECT_EQ(tracer.spans()[0].end, seconds(1.0));
-}
-
 TEST(Tracer, TimelineFilterKeepsMatchingTags) {
   Tracer tracer;
-  tracer.record(0, "f", "fwd", 0, 10);
-  tracer.record(0, "d", "dp-comm", 10, 20);
-  tracer.record(1, "b", "bwd", 0, 15);
+  tracer.record({0, "f", "fwd", 0, 10});
+  tracer.record({0, "d", "dp-comm", 10, 20});
+  tracer.record({1, "b", "bwd", 0, 15});
   const auto all = tracer.timeline();
   EXPECT_EQ(all.rank_spans(0).size(), 2u);
   const auto compute = tracer.timeline(
@@ -220,7 +170,7 @@ TEST(Exporters, JsonlEveryLineParses) {
   reg.gauge("b").set(1.5);
   reg.histogram("c_seconds").observe(0.25);
   Tracer tracer;
-  tracer.record(0, "fwd \"quoted\"", "fwd", 0, 1000);
+  tracer.record({0, "fwd \"quoted\"", "fwd", 0, 1000});
 
   const std::string log =
       jsonl_metrics(reg.snapshot()) + jsonl_spans(tracer.spans());
@@ -246,8 +196,8 @@ TEST(Exporters, JsonlEveryLineParses) {
 
 TEST(Exporters, ChromeTraceParsesAndMatchesSpans) {
   Tracer tracer;
-  tracer.record(0, "fwd-1", "fwd", microseconds(1.0), microseconds(3.0));
-  tracer.record(1, "bwd-1", "bwd", microseconds(3.0), microseconds(7.0));
+  tracer.record({0, "fwd-1", "fwd", microseconds(1.0), microseconds(3.0)});
+  tracer.record({1, "bwd-1", "bwd", microseconds(3.0), microseconds(7.0)});
   json::Value v;
   ASSERT_TRUE(json::parse(chrome_trace(tracer), v));
   ASSERT_TRUE(v.is_object());
@@ -295,17 +245,6 @@ TEST(Instrumentation, EngineEmitsSpansAndMetrics) {
     if (s.name == "collective_latency_seconds") saw_collective = true;
   }
   EXPECT_TRUE(saw_collective);
-}
-
-TEST(Instrumentation, DataPipelineRecordsComponents) {
-  MetricsRegistry reg;
-  data::DataPipelineConfig cfg;
-  const auto cost = data::data_step_cost(cfg, &reg);
-  const auto snap = reg.snapshot();
-  const Labels mode{{"mode", "redundant"}};
-  EXPECT_DOUBLE_EQ(snap.find("data_steps_total", mode)->value, 1.0);
-  EXPECT_NEAR(snap.find("data_exposed_seconds", mode)->hist.sum(),
-              to_seconds(cost.exposed), 1e-9);
 }
 
 TEST(Instrumentation, WorkflowCountsIncidentsAndHealth) {
@@ -384,34 +323,6 @@ TEST(Dashboard, HealthSectionFromRunReport) {
   const std::string text = dash.report();
   EXPECT_NE(text.find("restarts"), std::string::npos);
   EXPECT_NE(text.find("93."), std::string::npos);
-}
-
-TEST(Tracer, WarnsOnceOnFrozenClockScopedSpans) {
-  Tracer tracer;
-  testing::internal::CaptureStderr();
-  { ScopedSpan span(tracer, 0, "fwd", "fwd"); }
-  { ScopedSpan span(tracer, 0, "bwd", "bwd"); }
-  const std::string log = testing::internal::GetCapturedStderr();
-  EXPECT_NE(log.find("frozen-at-0 clock"), std::string::npos);
-  // Once per tracer, not per span.
-  EXPECT_EQ(log.find("frozen-at-0 clock"),
-            log.rfind("frozen-at-0 clock"));
-  EXPECT_EQ(tracer.size(), 2u);
-}
-
-TEST(Tracer, NoWarningWithClockOrExplicitTimestamps) {
-  testing::internal::CaptureStderr();
-  Tracer clocked;
-  TimeNs now = 0;
-  clocked.set_clock([&now] { return now; });
-  { ScopedSpan span(clocked, 0, "fwd", "fwd"); }
-
-  // Explicit-timestamp records never involve the clock — a legitimate
-  // zero-length span at t=0 (fully-hidden async data load) must not warn.
-  Tracer manual;
-  manual.record(0, "data-load", "data", 0, 0);
-  EXPECT_EQ(testing::internal::GetCapturedStderr().find("frozen-at-0"),
-            std::string::npos);
 }
 
 TEST(Dashboard, DiagnosisSectionAndBlameMetrics) {

@@ -25,6 +25,12 @@ test-coverage  Every .cpp under src/ must be referenced from tests/ —
 
 pragma-once    Every header under src/ uses #pragma once.
 
+shipped-header Every header under src/ is included by some file outside
+               tests/ other than its own .cpp: by src/, bench/, tools/,
+               examples/ or perfbench/ code. A header only tests include
+               is a unit no shipped binary runs; delete it or give it a
+               shipped caller.
+
 ordered-digest Digest/report-emitting files (anything whose text mentions
                digests, JSONL or to_json) may not range-iterate unordered
                containers: iteration order is hash-layout-dependent, which
@@ -85,6 +91,9 @@ RULES = {
     "raw-seconds": "no `double *_s` / `double *_seconds` in public headers; use TimeNs",
     "test-coverage": "every src/**/*.cpp is referenced by a test",
     "pragma-once": "every header under src/ uses #pragma once",
+    "shipped-header":
+        "every src/ header is included outside tests/ by a file other than"
+        " its own .cpp",
     "ordered-digest":
         "digest/report-emitting files (and all of src/plan/ and"
         " src/net/fabric/) may not range-iterate unordered containers",
@@ -112,6 +121,9 @@ AMBIENT_ENTROPY_RE = re.compile(
 RAW_MUTEX_RE = re.compile(
     r"std::(?:mutex|shared_mutex|recursive_mutex|timed_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock)\b")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+# Trees whose code ships in a binary (tests/ trees never count).
+SHIPPED_DIRS = ("src", "bench", "tools", "examples", "perfbench")
 NUMBER_PARSE_RE = re.compile(
     r"\b(?:ato(?:i|l|ll|f)|strto(?:l|ll|ul|ull|f|d|ld|imax|umax))\s*\(")
 ALLOW_RE = re.compile(r"ms-lint:\s*allow\((?P<rule>[\w-]+)\)\s*:\s*\S")
@@ -348,6 +360,27 @@ class Linter:
             if "#pragma once" not in text:
                 self.report(path, 1, "pragma-once", "header missing #pragma once")
 
+    def check_shipped_header(self):
+        rule = "shipped-header"
+        includers: dict[str, set[pathlib.Path]] = {}
+        for top in SHIPPED_DIRS:
+            for path in sorted((self.root / top).rglob("*")):
+                if path.suffix not in (".h", ".cpp") or \
+                        "tests" in path.relative_to(self.root).parts:
+                    continue
+                for m in INCLUDE_RE.finditer(path.read_text()):
+                    includers.setdefault(m.group(1), set()).add(path)
+        for path in self.src_files((".h",)):
+            rel = path.relative_to(self.root / "src").as_posix()
+            if includers.get(rel, set()) - {self.sibling(path)}:
+                continue
+            if rule in self.file_waivers(path.read_text().splitlines()):
+                continue
+            self.report(
+                path, 1, rule,
+                f"only tests/ or its own .cpp include {rel}; no shipped"
+                " binary runs it — delete it or give it a shipped caller")
+
     def check_test_coverage(self):
         tests_dir = self.root / "tests"
         if not tests_dir.is_dir():  # fixture corpora may omit tests/
@@ -377,6 +410,7 @@ class Linter:
         self.check_ordered_digest()
         self.check_number_parse()
         self.check_pragma_once()
+        self.check_shipped_header()
         self.check_test_coverage()
         for path, line_no, rule, msg in self.violations:
             rel = path.relative_to(self.root).as_posix()
@@ -393,6 +427,7 @@ class Linter:
         self.check_ordered_digest()
         self.check_number_parse()
         self.check_pragma_once()
+        self.check_shipped_header()
         self.check_test_coverage()
         got = sorted(
             f"{path.relative_to(self.root).as_posix()}:{line_no}: [{rule}]"

@@ -35,9 +35,6 @@ double Percentiles::quantile(double q) const {
 
 // --------------------------------------------------------- HdrHistogram
 
-HdrHistogram::HdrHistogram()
-    : counts_(static_cast<std::size_t>(kBucketsPerDecade) * kDecades, 0) {}
-
 std::size_t HdrHistogram::bucket_index(double x) {
   const double pos = std::log10(x / kRangeLo) * kBucketsPerDecade;
   // Clamp: floating rounding near the range edges must not step outside.
@@ -62,12 +59,43 @@ void HdrHistogram::add(double x, std::uint64_t count) {
   } else if (x >= kRangeHi) {
     overflow_ += count;
   } else {
-    counts_[bucket_index(x)] += count;
+    const std::size_t i = bucket_index(x);
+    const auto it = std::lower_bound(
+        cells_.begin(), cells_.end(), i,
+        [](const Cell& c, std::size_t index) { return c.index < index; });
+    if (it != cells_.end() && it->index == i) {
+      it->count += count;
+    } else {
+      cells_.insert(it, Cell{i, count});
+    }
   }
 }
 
 void HdrHistogram::merge(const HdrHistogram& other) {
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  // Two-pointer merge of the sorted cells: equal buckets add, the rest
+  // interleave in index order.
+  if (cells_.empty()) {
+    cells_ = other.cells_;
+  } else if (!other.cells_.empty()) {
+    std::vector<Cell> merged;
+    merged.reserve(cells_.size() + other.cells_.size());
+    auto a = cells_.begin();
+    auto b = other.cells_.begin();
+    while (a != cells_.end() && b != other.cells_.end()) {
+      if (a->index < b->index) {
+        merged.push_back(*a++);
+      } else if (b->index < a->index) {
+        merged.push_back(*b++);
+      } else {
+        merged.push_back({a->index, a->count + b->count});
+        ++a;
+        ++b;
+      }
+    }
+    merged.insert(merged.end(), a, cells_.end());
+    merged.insert(merged.end(), b, other.cells_.end());
+    cells_ = std::move(merged);
+  }
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
   total_ += other.total_;
@@ -82,12 +110,11 @@ double HdrHistogram::quantile(double q) const {
   const double target = q * static_cast<double>(total_);
   double seen = static_cast<double>(underflow_);
   if (target <= seen && underflow_ > 0) return min_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double next = seen + static_cast<double>(counts_[i]);
+  for (const Cell& c : cells_) {
+    const double next = seen + static_cast<double>(c.count);
     if (target <= next) {
-      const double frac = (target - seen) / static_cast<double>(counts_[i]);
-      const double lo = bucket_lo(i), hi = bucket_lo(i + 1);
+      const double frac = (target - seen) / static_cast<double>(c.count);
+      const double lo = bucket_lo(c.index), hi = bucket_lo(c.index + 1);
       return std::clamp(lo + frac * (hi - lo), min_, max_);
     }
     seen = next;
@@ -98,9 +125,8 @@ double HdrHistogram::quantile(double q) const {
 std::vector<HdrHistogram::Bucket> HdrHistogram::nonzero_buckets() const {
   std::vector<Bucket> out;
   if (underflow_ > 0) out.push_back({0.0, kRangeLo, underflow_});
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    out.push_back({bucket_lo(i), bucket_lo(i + 1), counts_[i]});
+  for (const Cell& c : cells_) {
+    out.push_back({bucket_lo(c.index), bucket_lo(c.index + 1), c.count});
   }
   if (overflow_ > 0) {
     out.push_back({kRangeHi, std::numeric_limits<double>::infinity(),

@@ -49,10 +49,12 @@ class Percentiles {
   mutable bool sorted_ = true;
 };
 
-/// Fixed-layout HDR-style histogram sketch: geometric buckets spanning
-/// [1e-9, 1e12) at a fixed resolution per decade, so every instance shares
-/// the same bucket boundaries and per-rank sketches merge with a plain
-/// element-wise add (the property the telemetry registry relies on).
+/// HDR-style histogram sketch: geometric buckets spanning [1e-9, 1e12) at a
+/// fixed resolution per decade, so every instance shares the same bucket
+/// boundaries and per-rank sketches merge by adding equal buckets (the
+/// property the telemetry registry relies on). Storage is sparse: only the
+/// non-empty buckets are kept, as (index, count) cells in ascending index
+/// order, so an empty histogram allocates nothing.
 /// Values <= 0 or below the range land in an underflow bucket; values above
 /// it in an overflow bucket. Quantiles interpolate inside the winning
 /// bucket, giving a bounded relative error of one bucket width (~7%).
@@ -63,8 +65,6 @@ class HdrHistogram {
   static constexpr double kRangeHi = 1e12;
   static constexpr int kBucketsPerDecade = 32;
   static constexpr int kDecades = 21;  // log10(kRangeHi / kRangeLo)
-
-  HdrHistogram();
 
   void add(double x, std::uint64_t count = 1);
   void merge(const HdrHistogram& other);
@@ -98,7 +98,12 @@ class HdrHistogram {
   static std::size_t bucket_index(double x);
   static double bucket_lo(std::size_t i);
 
-  std::vector<std::uint64_t> counts_;
+  /// One non-empty bucket; cells_ is sorted by index and has no zero count.
+  struct Cell {
+    std::size_t index = 0;
+    std::uint64_t count = 0;
+  };
+  std::vector<Cell> cells_;
   std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();

@@ -291,9 +291,9 @@ bool run_workload(const std::string& name, WorkloadResult& out) {
 
 namespace {
 
-// Each repeat reruns the workload (twice under `overhead`); the slowest,
-// fig11_production_run, takes ~4.3 s a run on a 4-core host, so 50 repeats
-// of `overhead` already run for ~7 minutes.
+// Each repeat reruns the workload (twice under `overhead`). On a 4-core
+// host micro_engine takes ~0.45 s a run and fig11_production_run ~0.25 s,
+// so 50 repeats of `overhead` run for under a minute.
 constexpr int kMaxRepeat = 50;
 
 bool load_report(const std::string& path, ProfileReport& report,

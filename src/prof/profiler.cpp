@@ -27,7 +27,8 @@ std::size_t hist_bucket(std::uint64_t ns) {
 }
 
 // Inverse: representative (midpoint) duration for a bucket, used when
-// re-bucketing into the coarser fixed-layout HdrHistogram on snapshot.
+// re-bucketing into the coarser HdrHistogram (same bucket boundaries,
+// sparse storage) on snapshot.
 double hist_bucket_mid(std::size_t b) {
   if (b < 4) return static_cast<double>(b);
   const std::size_t g = (b - 4) / 4;

@@ -10,8 +10,9 @@
 //      block with the sanctioned monotonic clock (core/wallclock.h).
 //      Samples aggregate lock-free into per-thread cells — count / total /
 //      min / max / child-time plus a 2-bit-mantissa log2 histogram — and
-//      merge on snapshot() into the fixed-layout core HdrHistogram, the
-//      same mergeable sketch the telemetry registry speaks.
+//      merge on snapshot() into the core HdrHistogram (same bucket
+//      boundaries, sparse storage), the same mergeable sketch the
+//      telemetry registry speaks.
 //
 //   2. An optional self-trace ring: when tracing is on, every closed scope
 //      appends an (id, start, dur, tid) record, exported by prof/report.h

@@ -3,7 +3,8 @@
 #include "prof/profiler.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ms::telemetry {
 
@@ -15,7 +16,13 @@ int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
 AggregationTree::AggregationTree(const AggTreeConfig& cfg)
     : cfg_(cfg), model_(cfg.cluster, cfg.network_efficiency) {
-  assert(cfg_.ranks > 0 && cfg_.ranks_per_host > 0 && cfg_.hosts_per_pod > 0);
+  if (cfg_.ranks <= 0 || cfg_.ranks_per_host <= 0 || cfg_.hosts_per_pod <= 0) {
+    throw std::invalid_argument(
+        "AggregationTree: ranks, ranks_per_host and hosts_per_pod must be > 0"
+        " (got " + std::to_string(cfg_.ranks) + ", " +
+        std::to_string(cfg_.ranks_per_host) + ", " +
+        std::to_string(cfg_.hosts_per_pod) + ")");
+  }
   hosts_ = ceil_div(cfg_.ranks, cfg_.ranks_per_host);
   pods_ = ceil_div(hosts_, cfg_.hosts_per_pod);
   leaves_.resize(static_cast<std::size_t>(cfg_.ranks));
@@ -25,7 +32,11 @@ AggregationTree::AggregationTree(const AggTreeConfig& cfg)
 }
 
 void AggregationTree::submit(int rank, SketchSnapshot snapshot) {
-  assert(rank >= 0 && rank < cfg_.ranks);
+  if (rank < 0 || rank >= cfg_.ranks) {
+    throw std::invalid_argument("AggregationTree::submit: rank " +
+                                std::to_string(rank) + " outside [0, " +
+                                std::to_string(cfg_.ranks) + ")");
+  }
   leaves_[static_cast<std::size_t>(rank)] = std::move(snapshot);
   rank_dirty_[static_cast<std::size_t>(rank)] = 1;
 }

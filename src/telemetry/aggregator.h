@@ -80,13 +80,16 @@ struct FlushReport {
 
 class AggregationTree {
  public:
+  /// Throws std::invalid_argument unless ranks, ranks_per_host and
+  /// hosts_per_pod are all > 0.
   explicit AggregationTree(const AggTreeConfig& cfg);
 
   int hosts() const { return hosts_; }
   int pods() const { return pods_; }
 
   /// Replaces rank's pending sketch (ranks re-snapshot every interval) and
-  /// marks the rank's host/pod subtree dirty for the next flush.
+  /// marks the rank's host/pod subtree dirty for the next flush. Throws
+  /// std::invalid_argument for a rank outside [0, ranks).
   void submit(int rank, SketchSnapshot snapshot);
 
   /// Merges every level bottom-up, charges traffic and latency, and

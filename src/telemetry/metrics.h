@@ -59,8 +59,8 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Distribution series backed by the fixed-layout HdrHistogram, so
-/// per-rank instances merge cheaply in aggregators.
+/// Distribution series backed by the HdrHistogram (same bucket boundaries,
+/// sparse storage), so per-rank instances merge cheaply in aggregators.
 class Histogram {
  public:
   void observe(double v) {

@@ -32,9 +32,23 @@ void SketchValue::merge(const SketchValue& other) {
   }
 }
 
+const SketchSnapshot::SeriesMap& SketchSnapshot::series() const {
+  static const SeriesMap kEmpty;
+  return body_ ? *body_ : kEmpty;
+}
+
+SketchSnapshot::SeriesMap& SketchSnapshot::mutable_series() {
+  if (!body_) {
+    body_ = std::make_shared<SeriesMap>();
+  } else if (body_.use_count() > 1) {
+    body_ = std::make_shared<SeriesMap>(*body_);
+  }
+  return *body_;
+}
+
 SketchValue& SketchSnapshot::slot(const std::string& key, MetricKind kind) {
   encoded_bytes_cache_ = -1;  // handing out a mutable slot stales the memo
-  auto [it, inserted] = series_.try_emplace(key);
+  auto [it, inserted] = mutable_series().try_emplace(key);
   if (inserted) {
     it->second.kind = kind;
   } else if (it->second.kind != kind) {
@@ -57,20 +71,26 @@ void SketchSnapshot::add_histogram(const std::string& key,
 }
 
 void SketchSnapshot::merge(const SketchSnapshot& other) {
-  if (other.series_.empty()) return;
+  if (other.empty()) return;
+  if (empty()) {
+    body_ = other.body_;
+    encoded_bytes_cache_ = other.encoded_bytes_cache_;
+    return;
+  }
   encoded_bytes_cache_ = -1;
   // Both maps iterate in key order, so one synchronized walk suffices:
   // amortized O(1) per series instead of an O(log n) string-keyed lookup
   // for every merged key. This is the hot loop of the aggregation tree
   // (12k leaves x hundreds of series per fig11 flush).
-  auto it = series_.begin();
-  for (const auto& [key, value] : other.series_) {
-    while (it != series_.end() && it->first < key) ++it;
-    if (it != series_.end() && it->first == key) {
+  SeriesMap& series = mutable_series();
+  auto it = series.begin();
+  for (const auto& [key, value] : other.series()) {
+    while (it != series.end() && it->first < key) ++it;
+    if (it != series.end() && it->first == key) {
       it->second.merge(value);  // aborts on kind clash (registry law)
       ++it;
     } else {
-      it = series_.emplace_hint(it, key, value);
+      it = series.emplace_hint(it, key, value);
       ++it;
     }
   }
@@ -84,7 +104,7 @@ Bytes SketchSnapshot::encoded_bytes() const {
   // (varint bucket index ~ 2 bytes, count ~ 8 bytes) pair per non-empty
   // bucket plus under/overflow/total/sum/min/max in the header.
   Bytes total = 16;
-  for (const auto& [key, value] : series_) {
+  for (const auto& [key, value] : series()) {
     total += static_cast<Bytes>(key.size()) + 3;
     switch (value.kind) {
       case MetricKind::kCounter: total += 8; break;
@@ -109,7 +129,7 @@ void fold_double(check::Digest& d, double v) {
 
 std::uint64_t SketchSnapshot::digest() const {
   check::Digest d;
-  for (const auto& [key, value] : series_) {
+  for (const auto& [key, value] : series()) {
     d.fold(std::string_view(key));
     d.fold(static_cast<std::uint64_t>(value.kind));
     switch (value.kind) {

@@ -4,11 +4,12 @@
 // at millisecond granularity. That only works because every metric the
 // ranks export is a *mergeable sketch*: counters merge by addition, gauges
 // by a (sum, min, max, count) statistic, and distributions by the
-// fixed-layout HdrHistogram whose buckets add element-wise. This header is
-// the wire model for that property: a SketchSnapshot is one node's (or one
-// subtree's) metric state as plain mergeable data, with a deterministic
-// encoded-size model so the aggregation tree (telemetry/aggregator.h) can
-// charge its own traffic through the network cost models.
+// HdrHistogram (same bucket boundaries, sparse storage), whose equal
+// buckets add. This header is the wire model for that property: a
+// SketchSnapshot is one node's (or one subtree's) metric state as plain
+// mergeable data, with a deterministic encoded-size model so the
+// aggregation tree (telemetry/aggregator.h) can charge its own traffic
+// through the network cost models.
 //
 // Merge laws (pinned by tests/sketch_test.cpp): merge is commutative and
 // associative on all integral state (counts, buckets, totals); floating
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/stats.h"
@@ -59,18 +61,26 @@ struct SketchValue {
 /// One node's (or subtree's) metric state: series key -> mergeable value.
 /// Keys are "name{labels}" via encode_labels, so two ranks exporting the
 /// same series merge onto one entry.
+///
+/// Copy-on-write: copies share one series map until one of them is written
+/// (every mutator clones a shared body first), so the 12k identical leaf
+/// submissions of an aggregation tree cost one map, not 12k. A handle must
+/// not be written while another thread uses that same handle.
 class SketchSnapshot {
  public:
+  using SeriesMap = std::map<std::string, SketchValue>;
+
   void add_counter(const std::string& key, double value);
   void add_gauge(const std::string& key, double value);
   void add_histogram(const std::string& key, const HdrHistogram& hist);
 
-  /// Element-wise merge of every series in `other`.
+  /// Element-wise merge of every series in `other`. Merging into an empty
+  /// snapshot adopts `other`'s body (and its encoded_bytes() memo).
   void merge(const SketchSnapshot& other);
 
-  const std::map<std::string, SketchValue>& series() const { return series_; }
-  std::size_t size() const { return series_.size(); }
-  bool empty() const { return series_.empty(); }
+  const SeriesMap& series() const;
+  std::size_t size() const { return body_ ? body_->size() : 0; }
+  bool empty() const { return size() == 0; }
 
   /// Deterministic wire-size model (bytes) of this snapshot: per-series key
   /// + tag overhead, fixed-size counter/gauge payloads, and a sparse
@@ -90,8 +100,10 @@ class SketchSnapshot {
 
  private:
   SketchValue& slot(const std::string& key, MetricKind kind);
+  /// The body, made unshared first (clones it when another copy holds it).
+  SeriesMap& mutable_series();
 
-  std::map<std::string, SketchValue> series_;
+  std::shared_ptr<SeriesMap> body_;  // null = no series
   /// encoded_bytes() memo; -1 = stale (any mutation invalidates).
   mutable Bytes encoded_bytes_cache_ = -1;
 };

@@ -5,6 +5,7 @@
 // sub-interval propagation, small overhead fraction).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "core/stats.h"
@@ -148,6 +149,27 @@ TEST(Aggregator, RaggedLastHostAndPod) {
   tree.flush();
   EXPECT_TRUE(approx_same(tree.root(), tree.flat_merge()));
   EXPECT_DOUBLE_EQ(tree.root().series().at("steps_total").counter, 1300.0);
+}
+
+// Preconditions hold in release builds too (no assert): a zero or negative
+// fan-in would divide by zero, and an out-of-range rank would write past
+// the leaves.
+TEST(Aggregator, MalformedConfigAndSubmitThrow) {
+  for (const int bad : {0, -1}) {
+    AggTreeConfig cfg = small_tree();
+    cfg.ranks = bad;
+    EXPECT_THROW(AggregationTree{cfg}, std::invalid_argument);
+    cfg = small_tree();
+    cfg.ranks_per_host = bad;
+    EXPECT_THROW(AggregationTree{cfg}, std::invalid_argument);
+    cfg = small_tree();
+    cfg.hosts_per_pod = bad;
+    EXPECT_THROW(AggregationTree{cfg}, std::invalid_argument);
+  }
+  AggregationTree tree(small_tree());
+  EXPECT_THROW(tree.submit(-1, rank_snapshot(0)), std::invalid_argument);
+  EXPECT_THROW(tree.submit(small_tree().ranks, rank_snapshot(0)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -302,6 +302,29 @@ TEST(HdrHistogram, MergeEqualsCombinedStream) {
     EXPECT_DOUBLE_EQ(ba[i].lo, bc[i].lo);
     EXPECT_EQ(ba[i].count, bc[i].count);
   }
+
+  // The same law for descending and interleaved insertion orders, which
+  // insert new buckets in front of and between the sparse storage's cells.
+  for (const bool descending : {true, false}) {
+    HdrHistogram c, d, all;
+    for (int i = 1; i <= 40; ++i) {
+      // descending: 40, 39, ..., 1; interleaved: 41, 1, 40, 2, 39, ...
+      const int j = descending ? 41 - i : (i % 2 == 0 ? i / 2 : 41 - i / 2);
+      const double x = j * 2.5e-4;
+      (i % 3 == 0 ? c : d).add(x);
+      all.add(x);
+    }
+    c.merge(d);
+    EXPECT_EQ(c.total(), all.total());
+    EXPECT_DOUBLE_EQ(c.p50(), all.p50());
+    const auto bm = c.nonzero_buckets();
+    const auto bl = all.nonzero_buckets();
+    ASSERT_EQ(bm.size(), bl.size());
+    for (std::size_t i = 0; i < bm.size(); ++i) {
+      EXPECT_DOUBLE_EQ(bm[i].lo, bl[i].lo);
+      EXPECT_EQ(bm[i].count, bl[i].count);
+    }
+  }
 }
 
 TEST(HdrHistogram, OutOfRangeAndNonFiniteGoToEdgeBuckets) {
@@ -325,6 +348,31 @@ TEST(HdrHistogram, BucketsCoverValues) {
   EXPECT_LE(buckets[0].lo, 0.37);
   EXPECT_GT(buckets[0].hi, 0.37);
   EXPECT_EQ(buckets[0].count, 1u);
+
+  // Descending and interleaved inputs: every value lands in a bucket that
+  // covers it, buckets come out in ascending order, and no count is lost.
+  const std::vector<double> descending = {1.5e3, 2.0, 0.37, 2e-4, 3e-8};
+  const std::vector<double> interleaved = {2e-4, 1.5e3, 0.37, 3e-8, 2.0,
+                                           0.37};
+  for (const auto* values : {&descending, &interleaved}) {
+    HdrHistogram g;
+    for (const double v : *values) g.add(v);
+    const auto bs = g.nonzero_buckets();
+    std::uint64_t counted = 0;
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(bs[i - 1].hi, bs[i].hi);
+      }
+      counted += bs[i].count;
+    }
+    EXPECT_EQ(counted, values->size());
+    for (const double v : *values) {
+      const bool covered = std::any_of(bs.begin(), bs.end(), [&](const auto& b) {
+        return b.lo <= v && v < b.hi;
+      });
+      EXPECT_TRUE(covered) << v;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- json

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -461,8 +462,8 @@ TEST_F(ProfTest, RunWorkloadByName) {
   EXPECT_EQ(again.digest, result.digest);
 }
 
-// The Figure-11 pipeline's steady-step phase (the full pipeline needs ~6 GB
-// and runs under CI's `msprof overhead` instead).
+// The Figure-11 pipeline's steady-step phase, checked op by op against an
+// untraced run (the whole pipeline is pinned below).
 TEST_F(ProfTest, SteadyStepTracesEachOpOnceAndFoldsThatResult) {
   const engine::JobConfig job = bench::megascale_175b(128, 64);
   ASSERT_EQ(engine::validate(job), "");
@@ -479,6 +480,20 @@ TEST_F(ProfTest, SteadyStepTracesEachOpOnceAndFoldsThatResult) {
   EXPECT_EQ(step.fold.mfu, want.mfu);
   EXPECT_EQ(step.fold.worst_factor, want.worst_factor);
   EXPECT_EQ(step.fold.slow_machines, want.slow_machines);
+}
+
+// The whole Figure-11 pipeline at full scale, held to the bench's gates:
+// its digest, the ledger/ft ETTR closure, one trace span per op and the
+// tree's observability overhead.
+TEST_F(ProfTest, Fig11PipelineRunsWholeAndIsPinned) {
+  const Fig11Result r = run_fig11_pipeline();
+  EXPECT_EQ(r.digest, 0xdcdbde073b468e4cull);
+  const double expected_ettr =
+      r.report.effective_time_ratio - static_cast<double>(r.overlay_stall) /
+                                          static_cast<double>(kFig11Duration);
+  EXPECT_LE(std::abs(r.series.totals.ettr - expected_ettr), 0.01);
+  EXPECT_EQ(r.step.trace.size(), r.step.base.spans.size());
+  EXPECT_LT(r.flush.overhead_fraction, 0.01);
 }
 
 // ------------------------------------------------------------ msprof CLI

@@ -130,6 +130,27 @@ TEST(Sketch, DigestIsDeterministicAndOrderInsensitive) {
   EXPECT_NE(a.digest(), b.digest());
 }
 
+// --------------------------------------------------------- copy-on-write
+
+TEST(Sketch, CopiesShareOneBodyUntilWritten) {
+  const SketchSnapshot a = sample_snapshot(1);
+  const std::uint64_t a_digest = a.digest();
+  SketchSnapshot b = a;
+  EXPECT_EQ(&b.series(), &a.series());
+  b.add_counter("steps_total", 1.0);
+  EXPECT_NE(&b.series(), &a.series());
+  EXPECT_EQ(a.digest(), a_digest);
+
+  SketchSnapshot c;
+  c.merge(a);  // an empty snapshot adopts the other's body
+  EXPECT_EQ(&c.series(), &a.series());
+  c.merge(a);  // the write clones first, so `a` is untouched
+  EXPECT_NE(&c.series(), &a.series());
+  EXPECT_EQ(a.digest(), a_digest);
+  EXPECT_DOUBLE_EQ(c.series().at("steps_total").counter,
+                   2 * a.series().at("steps_total").counter);
+}
+
 // ------------------------------------------------------- wire-size model
 
 TEST(Sketch, EncodedBytesDeterministicAndMonotone) {
